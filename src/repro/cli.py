@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .metrics import weighted_completeness
 from .study import Study
@@ -235,12 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: 8000)")
     serve.add_argument("--workers", type=_job_count, default=1,
                        metavar="N",
-                       help="worker processes; N>1 pre-forks N "
-                            "workers sharing one port (SO_REUSEPORT "
-                            "where available, inherited socket "
-                            "otherwise), each mmap-loading the same "
-                            ".rsnap snapshot; SIGHUP hot-reloads the "
-                            "snapshot across the fleet (default: 1)")
+                       help="worker processes sharing one port "
+                            "(SO_REUSEPORT where available, inherited "
+                            "socket otherwise), each mmap-loading the "
+                            "same .rsnap or --series file; for every "
+                            "N, SIGHUP hot-reloads all workers and "
+                            "SIGTERM drains; POST /admin/reload is on "
+                            "only for N=1 (default: 1)")
     serve.add_argument("--cache-entries", type=int, default=1024,
                        metavar="N",
                        help="result-cache capacity (default: 1024)")
@@ -475,16 +476,38 @@ def _serve_concurrency(args: argparse.Namespace) -> int:
     return concurrency
 
 
-def _serve(study: Optional[Study], args: argparse.Namespace) -> int:
-    """Run the long-lived query server until SIGINT/SIGTERM.
+def _describe_sources(path, popcon, repository,
+                      tenants: Dict[str, str]) -> Tuple[str, str]:
+    """Open every source once: what and which fingerprint we serve.
 
-    SIGINT propagates as ``KeyboardInterrupt`` and exits 130 (the
-    interrupt taxonomy); SIGTERM drains in-flight requests and exits
-    0 — both paths stop accepting, join handler threads, and close
-    the socket before returning.
+    Doing it here, before any worker forks, turns a torn or missing
+    file into a clean exit 1 instead of a fleet that crash-loops.
     """
-    import signal
-    import threading
+    from .serve import SnapshotRegistry
+    snapshot = SnapshotRegistry.from_files(
+        path, popcon, repository, tenants=tenants).get().current()
+    what = (f"{snapshot.n_releases} releases"
+            if hasattr(snapshot, "n_releases")
+            else f"{snapshot.packages} packages")
+    if tenants:
+        what += f" (+{len(tenants)} tenants)"
+    return what, snapshot.fingerprint[:12]
+
+
+def _serve(study: Optional[Study], args: argparse.Namespace) -> int:
+    """Run the query server until SIGTERM (exit 0) or SIGINT (130).
+
+    One path for every ``--workers N``, 1 included: the source is the
+    ``--series`` file, or the study exported once to a scratch
+    ``.rsnap``, and a :class:`repro.serve.WorkerSupervisor` serves it
+    with N workers that mmap the same bytes.  SIGHUP reloads every
+    worker from its source; ``/admin/reload`` stays on only for N=1.
+    """
+    import os
+    import shutil
+    import tempfile
+
+    from .serve import WorkerSupervisor
 
     try:
         tenants = _parse_tenants(args.tenant)
@@ -492,134 +515,37 @@ def _serve(study: Optional[Study], args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 
-    if args.workers > 1:
-        return _serve_multiworker(study, args, tenants)
-
-    from .serve import (ServeApp, ServeServer, SnapshotHolder,
-                        SnapshotRegistry, holder_from_file)
-    if args.series is not None:
-        registry = SnapshotRegistry.from_files(args.series,
-                                               tenants=tenants)
-    else:
-        registry = SnapshotRegistry.of(SnapshotHolder(study.dataset))
-        for name, path in tenants.items():
-            registry.add(name, holder_from_file(path))
-    app = ServeApp(
-        registry,
-        cache_entries=args.cache_entries,
-        cache_ttl_seconds=args.cache_ttl,
-        concurrency=_serve_concurrency(args),
-        max_wait_seconds=args.max_wait_ms / 1000.0,
-        deadline_seconds=(args.deadline_ms / 1000.0
-                          if args.deadline_ms > 0 else None),
-        allow_reload=not args.no_reload)
-    server = ServeServer(app, host=args.host, port=args.port,
-                         quiet=True)
-    # Handler before the announce line: anyone scripting against the
-    # announce may signal immediately after reading it, and the
-    # default disposition would kill us mid-boot.
-    terminated = threading.Event()
-    signal.signal(signal.SIGTERM, lambda *_: terminated.set())
-    if args.series is not None:
-        # File-backed serving gets the same SIGHUP hot-reload verb as
-        # the pre-fork fleet; the handler thread keeps the accept loop
-        # responsive and a failed reload keeps the old generation.
-        def _hup(*_):
-            threading.Thread(target=_quiet_reload, args=(app,),
-                             name="repro-serve-reload",
-                             daemon=True).start()
-        signal.signal(signal.SIGHUP, _hup)
-    server.start()
-    snapshot = app.holder.current()
-    what = (f"{snapshot.n_releases} releases"
-            if hasattr(snapshot, "n_releases")
-            else f"{snapshot.packages} packages")
-    if tenants:
-        what += f" (+{len(tenants)} tenants)"
-    print(f"serving {what} "
-          f"(fingerprint {snapshot.fingerprint[:12]}) "
-          f"on {server.url}", flush=True)
-    try:
-        # Timed wait so a signal delivered to a serving thread is
-        # still handled promptly: the Python-level handler only runs
-        # once the main thread wakes up.
-        while not terminated.wait(0.2):
-            pass
-    finally:
-        server.stop()
-    return EXIT_OK
-
-
-def _quiet_reload(app) -> None:
-    """Best-effort reload for signal handlers (old snapshot survives)."""
-    try:
-        app.reload_from_source()
-    except Exception as exc:
-        print(f"reload failed: {exc}", file=sys.stderr, flush=True)
-
-
-def _serve_multiworker(study: Optional[Study],
-                       args: argparse.Namespace,
-                       tenants: Dict[str, str]) -> int:
-    """Pre-fork serving: supervisor + N workers over shared files.
-
-    The dataset is exported once as a ``.rsnap`` into a scratch
-    directory (a ``--series`` file is used in place, no export);
-    every worker mmaps those same bytes, so the corpus occupies the
-    page cache once regardless of fleet size.  SIGHUP fans a hot
-    reload of every source-bound tenant out to every worker.
-    """
-    import os
-    import shutil
-    import signal
-    import tempfile
-    import threading
-
-    from .serve import WorkerSettings, WorkerSupervisor
-
     scratch = None
-    if args.series is not None:
-        snapshot_path = args.series
-        popcon = repository = None
-        what = "release train"
-    else:
-        scratch = tempfile.mkdtemp(prefix="repro-serve-")
-        snapshot_path = os.path.join(scratch, "dataset.rsnap")
-        study.export_dataset(snapshot_path, format="binary")
-        popcon, repository = study.popcon, study.repository
-        what = f"{len(study.dataset.packages)} packages"
-    if tenants:
-        what += f" (+{len(tenants)} tenants)"
-    supervisor = WorkerSupervisor(
-        snapshot_path, workers=args.workers,
-        host=args.host, port=args.port,
-        popcon=popcon, repository=repository,
-        settings=WorkerSettings(
+    try:
+        if args.series is not None:
+            source = args.series
+            popcon = repository = None
+        else:
+            scratch = tempfile.mkdtemp(prefix="repro-serve-")
+            source = os.path.join(scratch, "dataset.rsnap")
+            study.export_dataset(source, format="binary")
+            popcon, repository = study.popcon, study.repository
+        what, fingerprint = _describe_sources(source, popcon,
+                                              repository, tenants)
+        supervisor = WorkerSupervisor(
+            source, workers=args.workers,
+            host=args.host, port=args.port,
+            popcon=popcon, repository=repository,
+            tenants=tenants, quiet=True,
             cache_entries=args.cache_entries,
             cache_ttl_seconds=args.cache_ttl,
             concurrency=_serve_concurrency(args),
             max_wait_seconds=args.max_wait_ms / 1000.0,
             deadline_seconds=(args.deadline_ms / 1000.0
-                              if args.deadline_ms > 0 else None)),
-        tenants=tenants,
-        quiet=True)
-    terminated = threading.Event()
-    try:
-        supervisor.start()
-        supervisor.wait_until_ready()
-        signal.signal(signal.SIGTERM, lambda *_: terminated.set())
-        signal.signal(signal.SIGHUP,
-                      lambda *_: supervisor.reload_all())
-        print(f"serving {what} "
-              f"({supervisor.mode}, {args.workers} workers) "
-              f"on {supervisor.url}", flush=True)
-        # Timed wait keeps the main thread responsive to SIGTERM and
-        # SIGHUP even when the kernel hands the signal to another
-        # thread (the Python handler runs in the main thread only).
-        while not terminated.wait(0.2):
-            pass
+                              if args.deadline_ms > 0 else None),
+            allow_reload=not args.no_reload)
+        workers = (f"{args.workers} worker"
+                   f"{'s' if args.workers > 1 else ''}")
+        supervisor.run(on_ready=lambda: print(
+            f"serving {what} (fingerprint {fingerprint}, "
+            f"{supervisor.mode}, {workers}) on {supervisor.url}",
+            flush=True))
     finally:
-        supervisor.stop()
         if scratch is not None:
             shutil.rmtree(scratch, ignore_errors=True)
     return EXIT_OK

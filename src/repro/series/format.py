@@ -1,9 +1,10 @@
 """The ``.rser`` wire format: a base snapshot plus delta sections.
 
-Layout mirrors ``.rsnap`` byte for byte (same header struct, section
-table, and two-checksum integrity ladder — see
-:mod:`repro.store.format`), under a distinct magic so one-read format
-sniffing keeps working::
+The container is ``.rsnap``'s, byte for byte: :data:`SERIES` hands
+the store's :func:`repro.store.format.encode_file` and
+:func:`repro.store.format.decode_header` the same header, section
+table and two-checksum integrity ladder under a distinct magic, so
+one-read format sniffing keeps working::
 
     offset 0   magic        8 bytes   b"\\x89RSERS\\r\\n"
     offset 8   version      u32       SERIES_VERSION
@@ -65,15 +66,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from ..dataset.core import ApiSpace, Dataset
 from ..dataset.dimensions import DIMENSION_ORDER
-from ..store.errors import (StoreCRCError, StoreLayoutError,
-                            StoreMagicError, StoreTruncatedError,
-                            StoreVersionError)
-from ..store.format import (Cursor, SnapshotHeader, crc32,
-                            mask_row_bytes, pack_str, pack_str_list)
+from ..store.errors import StoreLayoutError
+from ..store.format import (Container, Cursor, mask_row_bytes, pack_str,
+                            pack_str_list)
 
 #: First bytes of every series file (PNG-style, like .rsnap).
 SERIES_MAGIC = b"\x89RSERS\r\n"
@@ -81,23 +80,19 @@ SERIES_MAGIC = b"\x89RSERS\r\n"
 #: Bump on incompatible wire-layout change.
 SERIES_VERSION = 1
 
-# Same packed layout as the store's (private) header/section structs —
-# byte-compatible on purpose, duplicated so neither format can drift
-# the other's wire layout by accident.
-_HEADER = struct.Struct("<8sIIQ64sI")
-_SECTION = struct.Struct("<4sQQ")
 _U8 = struct.Struct("<B")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 
-HEADER_SIZE = _HEADER.size
-SECTION_SIZE = _SECTION.size
-
-REQUIRED_TAGS = (b"SMET", b"BASE")
-
 #: SMET + BASE + up to 999 deltas (``D001``..``D999``).
 MAX_RELEASES = 1000
-_MAX_SECTIONS = 2 + (MAX_RELEASES - 1)
+
+#: The ``.rser`` container: the store's header, section table and
+#: integrity ladder under the series' own magic, version and tags.
+SERIES = Container(magic=SERIES_MAGIC, version=SERIES_VERSION,
+                   required_tags=(b"SMET", b"BASE"),
+                   max_sections=2 + (MAX_RELEASES - 1),
+                   noun="series", suffix=".rser")
 
 
 def delta_tag(release: int) -> bytes:
@@ -105,93 +100,6 @@ def delta_tag(release: int) -> bytes:
     if not 1 <= release < MAX_RELEASES:
         raise ValueError(f"release {release} out of delta-tag range")
     return f"D{release:03d}".encode("ascii")
-
-
-# --- file assembly / validation ------------------------------------------
-
-def encode_series_file(fingerprint: str,
-                       sections: List[Tuple[bytes, bytes]]) -> bytes:
-    """Assemble a complete ``.rser`` file from (tag, payload) pairs."""
-    fp_bytes = fingerprint.encode("ascii")
-    if len(fp_bytes) != 64:
-        raise ValueError("fingerprint must be 64 ascii hex chars")
-    n_sections = len(sections)
-    payload_start = (HEADER_SIZE + n_sections * SECTION_SIZE
-                     + _U32.size)
-    table = []
-    offset = payload_start
-    payload_parts = []
-    for tag, payload in sections:
-        table.append(_SECTION.pack(tag, offset, len(payload)))
-        payload_parts.append(payload)
-        offset += len(payload)
-    payload = b"".join(payload_parts)
-    file_size = payload_start + len(payload)
-    header = _HEADER.pack(SERIES_MAGIC, SERIES_VERSION, n_sections,
-                          file_size, fp_bytes, crc32(payload))
-    meta = header + b"".join(table)
-    return meta + _U32.pack(crc32(meta)) + payload
-
-
-def decode_series_header(data) -> SnapshotHeader:
-    """Validate a series buffer and decode its header.
-
-    The same integrity ladder as :func:`repro.store.format.decode_header`
-    — magic, version, size, both CRCs, section-table sanity — raising
-    the same typed errors, so no corruption can ever yield a partial
-    release.
-    """
-    size = len(data)
-    if size < HEADER_SIZE:
-        raise StoreTruncatedError(
-            f"series is {size} bytes; header needs {HEADER_SIZE}")
-    (magic, version, n_sections, file_size, fp_bytes,
-     payload_crc) = _HEADER.unpack_from(data, 0)
-    if magic != SERIES_MAGIC:
-        raise StoreMagicError(
-            f"bad magic {bytes(magic)!r}; not a .rser series")
-    if version != SERIES_VERSION:
-        raise StoreVersionError(
-            f"series version {version} != supported {SERIES_VERSION}")
-    if file_size != size:
-        raise StoreTruncatedError(
-            f"header claims {file_size} bytes, file has {size}")
-    if n_sections > _MAX_SECTIONS:
-        raise StoreLayoutError(
-            f"implausible section count {n_sections}")
-    meta_end = HEADER_SIZE + n_sections * SECTION_SIZE
-    payload_start = meta_end + _U32.size
-    if payload_start > size:
-        raise StoreTruncatedError(
-            f"section table overruns the file "
-            f"({payload_start} > {size})")
-    (meta_crc,) = _U32.unpack_from(data, meta_end)
-    if crc32(data[:meta_end]) != meta_crc:
-        raise StoreCRCError("header/section-table checksum mismatch")
-    if crc32(data[payload_start:]) != payload_crc:
-        raise StoreCRCError("payload checksum mismatch")
-    try:
-        fingerprint = bytes(fp_bytes).decode("ascii")
-    except UnicodeDecodeError:  # pragma: no cover - crc catches first
-        raise StoreCRCError("fingerprint is not ascii") from None
-    sections: Dict[bytes, Tuple[int, int]] = {}
-    for index in range(n_sections):
-        tag, offset, length = _SECTION.unpack_from(
-            data, HEADER_SIZE + index * SECTION_SIZE)
-        tag = bytes(tag)
-        if tag in sections:
-            raise StoreLayoutError(f"duplicate section {tag!r}")
-        if offset < payload_start or offset + length > size:
-            raise StoreLayoutError(
-                f"section {tag!r} [{offset}, {offset + length}) "
-                f"outside payload [{payload_start}, {size})")
-        sections[tag] = (offset, length)
-    for tag in REQUIRED_TAGS:
-        if tag not in sections:
-            raise StoreLayoutError(f"missing section {tag!r}")
-    return SnapshotHeader(version=version, file_size=file_size,
-                          fingerprint=fingerprint,
-                          payload_crc=payload_crc, sections=sections)
 
 
 # --- delta model ---------------------------------------------------------

@@ -30,10 +30,10 @@ from ..packages.package import Package
 from ..packages.popcon import PopularityContest
 from ..packages.repository import Repository
 from ..store.errors import StoreLayoutError, StoreTruncatedError
-from ..store.format import SnapshotHeader
+from ..store.format import SnapshotHeader, decode_header
 from ..store.reader import load_snapshot_bytes
-from .format import (MAX_RELEASES, SERIES_MAGIC, ReleaseDelta,
-                     decode_delta, decode_series_header, delta_tag)
+from .format import (MAX_RELEASES, SERIES, SERIES_MAGIC, ReleaseDelta,
+                     decode_delta, delta_tag)
 
 
 def sniff_series(head: bytes) -> bool:
@@ -71,7 +71,7 @@ class DatasetSeries:
     """
 
     def __init__(self, data, resources: Tuple = ()) -> None:
-        header = decode_series_header(data)
+        header = decode_header(data, SERIES)
         self._data = data
         self._header = header
         self._resources = resources

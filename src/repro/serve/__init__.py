@@ -27,8 +27,8 @@ warm behind an HTTP API and answers those queries in microseconds:
   ``.rsnap`` snapshot, crashes restart with backoff, and SIGHUP fans
   the RCU reload out across the fleet.
 
-``repro-analyze serve`` is the CLI front door (``--workers N`` for
-the pre-fork mode).
+``repro-analyze serve`` is the CLI front door: it runs one supervisor
+with ``--workers N`` workers, 1 included.
 """
 
 from .admission import (AdmissionController, Deadline,
@@ -39,11 +39,11 @@ from .endpoints import (ENDPOINTS, ENDPOINTS_BY_NAME, BadRequestError,
                         Endpoint, MethodNotAllowedError, NotFoundError,
                         ServeRequestError)
 from .qcache import QueryCache, canonical_query_key
-from .server import ServeServer, ThreadingTransport, reuse_port_available
+from .server import ThreadingTransport, reuse_port_available
 from .snapshot import (DEFAULT_TENANT, DatasetSnapshot, ResolvedTarget,
                        SeriesHolder, SeriesSnapshot, SnapshotHolder,
                        SnapshotRegistry, holder_from_file)
-from .workers import WorkerSettings, WorkerSupervisor, default_mode
+from .workers import WorkerSupervisor, default_mode
 
 __all__ = [
     "AdmissionController",
@@ -68,11 +68,9 @@ __all__ = [
     "SeriesSnapshot",
     "ServeApp",
     "ServeRequestError",
-    "ServeServer",
     "SnapshotHolder",
     "SnapshotRegistry",
     "ThreadingTransport",
-    "WorkerSettings",
     "WorkerSupervisor",
     "canonical_json",
     "canonical_query_key",

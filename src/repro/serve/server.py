@@ -25,12 +25,9 @@ the two socket arrangements the pre-fork supervisor
 so clients, tests, and load-gen tools can tell which process answered
 without disturbing the response body (parity stays byte-exact).
 
-:class:`ServeServer` is the original single-process name and remains
-the default transport; ``start()`` spawns the accept loop on a
-background thread (tests drive this), while ``serve_forever()`` runs
-it in the foreground; on ``KeyboardInterrupt`` the socket closes and
-in-flight handler threads are joined, then the interrupt propagates so
-the CLI can exit 130 without a traceback.
+``start()`` runs the accept loop on a background thread and
+``stop()`` drains it; the serving process's main thread only waits
+for signals (:mod:`repro.serve.workers`).
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from __future__ import annotations
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Optional
+from typing import Optional
 from urllib.parse import parse_qsl, urlsplit
 
 from .app import (SERVE_SCHEMA, SERVE_SCHEMA_VERSION, Request, Response,
@@ -296,32 +293,9 @@ class ThreadingTransport:
             self._thread = None
         self._httpd.server_close()
 
-    def serve_forever(self,
-                      on_ready: Optional[Callable[["ThreadingTransport"],
-                                                  None]] = None) -> None:
-        """Foreground accept loop; Ctrl-C closes cleanly, then raises.
-
-        ``on_ready`` (if given) is called just before the loop starts
-        — callers use it to print the bound address.
-        """
-        if on_ready is not None:
-            on_ready(self)
-        try:
-            self._httpd.serve_forever(poll_interval=0.2)
-        finally:
-            # Runs on Ctrl-C too: the stdlib loop's own finally-block
-            # has already marked itself shut down, so closing here is
-            # safe and the KeyboardInterrupt propagates to the CLI,
-            # which maps it to exit code 130.
-            self._httpd.server_close()
-
     def __enter__(self) -> "ThreadingTransport":
         return self.start()
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.stop()
         return False
-
-
-class ServeServer(ThreadingTransport):
-    """The single-process transport, under its original name."""

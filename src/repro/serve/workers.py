@@ -17,7 +17,7 @@ Architecture::
         ├── worker 0 ── SnapshotHolder.from_file(dataset.rsnap)  (mmap)
         ├── worker 1 ──            ″
         └── worker N ── each: own ServeApp + ThreadingTransport,
-                        own qcache/admission/registry (labelled)
+                        own qcache/admission/registry (labelled, N>1)
 
 Two socket arrangements, picked per platform:
 
@@ -38,17 +38,26 @@ a healthy run — one poisoned request cannot turn the fleet into a
 fork bomb.
 
 Reload protocol: the cross-worker extension of the holder's RCU swap.
-``reload_all()`` (wired to the supervisor's SIGHUP by the CLI) sends
-SIGHUP to every worker; each worker re-reads the *same* bound source
-path via :meth:`repro.serve.app.ServeApp.reload_from_source`, so
-``/readyz`` fingerprint/format provenance stays identical across the
-fleet, and each worker's ``/readyz`` flips not-ready only for its own
-load window.  Per-worker ``/admin/reload`` is disabled (a single
-worker reloading alone would desynchronize provenance).
+``reload_all()`` (wired to the supervisor's SIGHUP by :meth:`run`)
+sends SIGHUP to every worker; each worker re-reads the *same* bound
+source path via :meth:`repro.serve.app.ServeApp.reload_from_source`,
+so ``/readyz`` fingerprint/format provenance stays identical across
+the fleet, and each worker's ``/readyz`` flips not-ready only for its
+own load window.  With more than one worker, per-worker
+``/admin/reload`` is off and ``/metrics`` samples carry
+``worker``/``pid`` labels (one worker reloading alone would
+desynchronize provenance; scrapes must be told apart).  A fleet of
+one keeps ``/admin/reload`` unless ``allow_reload=False`` and keeps
+its metric names unlabelled.
+
+``repro-analyze serve`` runs every worker count, 1 included, through
+:meth:`WorkerSupervisor.run`: signal wiring, reload-failure handling
+and the timed main-thread wait exist once, here.
 """
 
 from __future__ import annotations
 
+import inspect
 import multiprocessing
 import os
 import signal
@@ -57,9 +66,8 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
-from ..obs import MetricsRegistry, SpanTracer
 from .app import ServeApp
 from .server import ThreadingTransport, reuse_port_available
 from .snapshot import SnapshotRegistry
@@ -68,21 +76,11 @@ from .snapshot import SnapshotRegistry
 #: a worker restart window queues connections instead of refusing.
 _BACKLOG = 128
 
-
-@dataclass(frozen=True)
-class WorkerSettings:
-    """Per-worker :class:`ServeApp` knobs (mirrors the CLI flags).
-
-    Each worker gets its *own* result cache and admission controller
-    sized from these — concurrency is per worker, so a fleet of N
-    admits up to ``N * concurrency`` requests.
-    """
-
-    cache_entries: int = 1024
-    cache_ttl_seconds: Optional[float] = None
-    concurrency: int = 8
-    max_wait_seconds: float = 0.25
-    deadline_seconds: Optional[float] = 2.0
+#: :class:`ServeApp` keyword arguments a supervisor passes through to
+#: every worker; the snapshot source, metrics and labels are the
+#: worker's own.
+_APP_OPTIONS = frozenset(inspect.signature(ServeApp).parameters) - {
+    "source", "registry", "tracer", "metrics_labels"}
 
 
 @dataclass
@@ -102,20 +100,45 @@ def default_mode() -> str:
     return "reuseport" if reuse_port_available() else "inherit"
 
 
-def _worker_main(index: int, address, mode: str,
-                 inherited: Optional[socket.socket],
+def _trap_signals(stop_signals: Iterable[int],
+                  on_hangup: Callable[[], None]) -> threading.Event:
+    """Route ``stop_signals`` to the returned event, SIGHUP to a call."""
+    stop = threading.Event()
+    for signum in stop_signals:
+        signal.signal(signum, lambda *_: stop.set())
+    signal.signal(signal.SIGHUP, lambda *_: on_hangup())
+    return stop
+
+
+def _wait(stop: threading.Event, parent: Optional[int] = None) -> None:
+    """Block the main thread until ``stop`` is set, in timed slices.
+
+    A process-directed signal may be delivered to a serving thread,
+    where the C handler only sets a flag — the Python-level handler
+    runs in the main thread, which must wake up to notice it.  An
+    untimed ``Event.wait()`` would sleep through that forever.  Given
+    ``parent``, the wait also ends once that process is no longer this
+    one's parent: a supervisor killed with SIGKILL never runs
+    :meth:`WorkerSupervisor.stop`, and its workers must not keep
+    serving (and holding the port) as orphans.
+    """
+    while not stop.wait(0.2):
+        if parent is not None and os.getppid() != parent:
+            return
+
+
+def _worker_main(index: int, workers: int, supervisor: int, address,
+                 mode: str, inherited: Optional[socket.socket],
                  snapshot_path: str, popcon, repository,
-                 settings: WorkerSettings, quiet: bool,
-                 ready=None,
-                 tenants: Optional[Dict[str, str]] = None) -> None:
+                 tenants: Dict[str, str], app_options: Dict[str, object],
+                 quiet: bool, ready) -> None:
     """One worker process: mmap the snapshot(s), serve until SIGTERM.
 
     Runs only in a forked child.  The worker is a fresh serving
-    universe — its own registry of holders, app, caches, metrics
-    (labelled with the worker index and pid), and transport — over the
-    *shared* snapshot bytes.  ``snapshot_path`` may be a ``.rsnap``,
-    JSON, or ``.rser`` series file (sniffed); ``tenants`` maps extra
-    tenant names to their own files.
+    universe — its own registry of holders, app, caches, metrics, and
+    transport — over the *shared* snapshot bytes.  ``snapshot_path``
+    may be a ``.rsnap``, JSON, or ``.rser`` series file (sniffed);
+    ``tenants`` maps extra tenant names to their own files.
     """
     # No reloads until the holders exist; a SIGHUP racing the boot
     # window is dropped rather than crashing the worker.
@@ -125,16 +148,9 @@ def _worker_main(index: int, address, mode: str,
     label = f"{index}:{os.getpid()}"
     app = ServeApp(
         snapshots,
-        registry=MetricsRegistry(),
-        tracer=SpanTracer(),
-        cache_entries=settings.cache_entries,
-        cache_ttl_seconds=settings.cache_ttl_seconds,
-        concurrency=settings.concurrency,
-        max_wait_seconds=settings.max_wait_seconds,
-        deadline_seconds=settings.deadline_seconds,
-        allow_reload=False,  # cross-worker reloads go through SIGHUP
-        metrics_labels={"worker": str(index),
-                        "pid": str(os.getpid())})
+        metrics_labels=({"worker": str(index), "pid": str(os.getpid())}
+                        if workers > 1 else None),
+        **app_options)
     app.registry.gauge("serve.worker.index").set(float(index))
     app.registry.gauge("serve.worker.pid").set(float(os.getpid()))
     if mode == "inherit":
@@ -147,43 +163,29 @@ def _worker_main(index: int, address, mode: str,
                                        reuse_port=True,
                                        worker_label=label)
 
-    stop = threading.Event()
+    def _reload() -> None:
+        try:
+            app.reload_from_source()
+        except Exception as exc:
+            # A failed load keeps the old snapshot authoritative
+            # (holder guarantee); account for it and keep serving.
+            app.registry.counter("serve.worker.failed_reloads").inc()
+            print(f"worker {index}: reload failed: {exc}",
+                  file=sys.stderr, flush=True)
 
-    def _drain(signum, frame):  # SIGTERM and SIGINT both drain
-        stop.set()
-
-    def _reload(signum, frame):
-        # Signal handlers must not block the accept loop; the holder's
-        # reload lock serializes overlapping fan-outs on a thread.
-        def _do() -> None:
-            try:
-                app.reload_from_source()
-            except Exception as exc:
-                # A failed load keeps the old snapshot authoritative
-                # (holder guarantee); account for it and keep serving.
-                app.registry.counter(
-                    "serve.worker.failed_reloads").inc()
-                if not quiet:
-                    print(f"worker {index}: reload failed: {exc}",
-                          file=sys.stderr, flush=True)
-        threading.Thread(target=_do, name="repro-serve-reload",
-                         daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _drain)
-    signal.signal(signal.SIGINT, _drain)
-    signal.signal(signal.SIGHUP, _reload)
+    # SIGTERM and SIGINT both drain.  SIGHUP must not block the accept
+    # loop: the reload runs on a thread, and the holder's reload lock
+    # serializes overlapping fan-outs.
+    stop = _trap_signals(
+        (signal.SIGTERM, signal.SIGINT),
+        lambda: threading.Thread(target=_reload,
+                                 name="repro-serve-reload",
+                                 daemon=True).start())
 
     transport.start()
-    if ready is not None:
-        ready.set()  # the accept queue exists; clients may connect
+    ready.set()  # the accept queue exists; clients may connect
     try:
-        # Poll rather than block indefinitely: a process-directed
-        # signal may be delivered to a serving thread, where the C
-        # handler only sets a flag — the Python-level handler runs in
-        # the main thread, which must wake up to notice it.  An
-        # untimed Event.wait() would sleep through that forever.
-        while not stop.wait(0.2):
-            pass
+        _wait(stop, parent=supervisor)
     finally:
         # Graceful drain: stop accepting, join in-flight handlers.
         transport.stop()
@@ -196,19 +198,28 @@ class WorkerSupervisor:
     The supervisor never serves traffic itself; it owns the address,
     the worker processes, and the two fleet-wide verbs (``stop`` and
     ``reload_all``).  See the module docstring for the architecture.
+
+    Extra keyword arguments are :class:`ServeApp` options (cache,
+    admission, deadline, ``allow_reload``), given to every worker's app
+    as they are.  Each worker has its *own* cache and admission slots,
+    so a fleet of N admits up to ``N * concurrency`` requests.
     """
 
     def __init__(self, snapshot_path, workers: int = 2,
                  host: str = "127.0.0.1", port: int = 0,
                  popcon=None, repository=None,
-                 settings: Optional[WorkerSettings] = None,
                  tenants: Optional[Dict[str, str]] = None,
                  quiet: bool = True, mode: str = "auto",
                  backoff_base_seconds: float = 0.1,
                  backoff_cap_seconds: float = 2.0,
-                 healthy_after_seconds: float = 5.0) -> None:
+                 healthy_after_seconds: float = 5.0,
+                 **app_options) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        unknown = set(app_options) - _APP_OPTIONS
+        if unknown:
+            raise TypeError(f"not a worker ServeApp option: "
+                            f"{', '.join(sorted(unknown))}")
         if mode == "auto":
             mode = default_mode()
         if mode not in ("reuseport", "inherit"):
@@ -223,8 +234,9 @@ class WorkerSupervisor:
         self.mode = mode
         self.popcon = popcon
         self.repository = repository
-        self.settings = settings if settings is not None \
-            else WorkerSettings()
+        if workers > 1:  # one worker reloading alone desyncs the fleet
+            app_options["allow_reload"] = False
+        self.app_options = app_options
         self.tenants = dict(tenants or {})
         self.quiet = quiet
         self.backoff_base_seconds = backoff_base_seconds
@@ -296,9 +308,10 @@ class WorkerSupervisor:
         ready = self._ctx.Event()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(index, self._address, self.mode, inherited,
-                  self.snapshot_path, self.popcon, self.repository,
-                  self.settings, self.quiet, ready, self.tenants),
+            args=(index, self.workers, os.getpid(), self._address,
+                  self.mode, inherited, self.snapshot_path, self.popcon,
+                  self.repository, self.tenants, self.app_options,
+                  self.quiet, ready),
             name=f"repro-serve-worker-{index}", daemon=False)
         process.start()
         self._handles[index] = _WorkerHandle(
@@ -353,6 +366,26 @@ class WorkerSupervisor:
                 self.total_restarts += 1
                 self._spawn(handle.index, restarts)
             self._stopping.wait(0.05)
+
+    def run(self, on_ready: Optional[Callable[[], None]] = None) -> None:
+        """Serve in the foreground until SIGTERM (main thread only).
+
+        Starts the fleet and waits for every worker to accept, routes
+        SIGHUP to :meth:`reload_all` and SIGTERM to a graceful return,
+        and only then calls ``on_ready`` — so a caller that signals as
+        soon as it hears of readiness always finds the handlers in
+        place.  SIGINT surfaces as ``KeyboardInterrupt``.  The fleet is
+        stopped on every way out.
+        """
+        try:
+            self.start()
+            self.wait_until_ready()
+            stop = _trap_signals((signal.SIGTERM,), self.reload_all)
+            if on_ready is not None:
+                on_ready()
+            _wait(stop)
+        finally:
+            self.stop()
 
     def reload_all(self) -> int:
         """Fan a snapshot reload out to every live worker (SIGHUP).

@@ -42,6 +42,11 @@ table (so a flipped offset can never be followed), ``payload_crc``
 covers every payload byte (so a mid-file bit flip is caught before any
 value is materialized).  ``file_size`` catches truncation without
 hashing anything.
+
+The header, section table and integrity ladder are a container that
+``.rser`` shares byte for byte under its own magic, version and tags:
+:func:`encode_file` and :func:`decode_header` take the format's
+:class:`Container` identity, and :data:`SNAPSHOT` is ``.rsnap``'s.
 """
 
 from __future__ import annotations
@@ -70,12 +75,33 @@ _U64 = struct.Struct("<Q")
 HEADER_SIZE = _HEADER.size
 SECTION_SIZE = _SECTION.size
 
-#: Sections every snapshot must carry (POPC / DEPS are optional).
-REQUIRED_TAGS = (b"META", b"PKGS", b"ITAB", b"MSK0", b"MSK1", b"MSK2",
-                 b"MSK3", b"MSK4", b"MSK5", b"UNRS")
-OPTIONAL_TAGS = (b"POPC", b"DEPS", b"PRVS")
 
-_MAX_SECTIONS = 64  # v1 defines 13; anything bigger is garbage
+@dataclass(frozen=True)
+class Container:
+    """The identity of one file format built on this container.
+
+    ``.rsnap`` and ``.rser`` share the header, the section table and
+    the integrity ladder byte for byte; they differ only in what this
+    names.  ``noun`` and ``suffix`` make the error messages
+    ("not a .rser series", "snapshot version 2 != supported 1").
+    """
+
+    magic: bytes
+    version: int
+    #: Sections every file of this format must carry.
+    required_tags: Tuple[bytes, ...]
+    #: Section counts above this are rejected as garbage.
+    max_sections: int
+    noun: str
+    suffix: str
+
+
+#: The ``.rsnap`` snapshot (v1 defines 13 sections; 64 is garbage).
+SNAPSHOT = Container(
+    magic=MAGIC, version=STORE_VERSION,
+    required_tags=(b"META", b"PKGS", b"ITAB", b"MSK0", b"MSK1",
+                   b"MSK2", b"MSK3", b"MSK4", b"MSK5", b"UNRS"),
+    max_sections=64, noun="snapshot", suffix=".rsnap")
 
 
 def crc32(data) -> int:
@@ -181,8 +207,9 @@ class SnapshotHeader:
 
 
 def encode_file(fingerprint: str,
-                sections: List[Tuple[bytes, bytes]]) -> bytes:
-    """Assemble a complete snapshot file from (tag, payload) pairs."""
+                sections: List[Tuple[bytes, bytes]],
+                container: Container = SNAPSHOT) -> bytes:
+    """Assemble a complete ``container`` file from (tag, payload) pairs."""
     fp_bytes = fingerprint.encode("ascii")
     if len(fp_bytes) != 64:
         raise ValueError("fingerprint must be 64 ascii hex chars")
@@ -198,14 +225,16 @@ def encode_file(fingerprint: str,
         offset += len(payload)
     payload = b"".join(payload_parts)
     file_size = payload_start + len(payload)
-    header = _HEADER.pack(MAGIC, STORE_VERSION, n_sections, file_size,
-                          fp_bytes, crc32(payload))
+    header = _HEADER.pack(container.magic, container.version,
+                          n_sections, file_size, fp_bytes,
+                          crc32(payload))
     meta = header + b"".join(table)
     return meta + _U32.pack(crc32(meta)) + payload
 
 
-def decode_header(data) -> SnapshotHeader:
-    """Validate ``data`` and decode its header.
+def decode_header(data,
+                  container: Container = SNAPSHOT) -> SnapshotHeader:
+    """Validate ``data`` as a ``container`` file and decode its header.
 
     Runs the full integrity ladder — magic, version, size, both CRCs,
     section-table sanity — and raises the matching typed
@@ -213,22 +242,23 @@ def decode_header(data) -> SnapshotHeader:
     section slice is in bounds and every payload byte is checksummed:
     lazy materialization can never observe corruption.
     """
+    noun = container.noun
     size = len(data)
     if size < HEADER_SIZE:
         raise StoreTruncatedError(
-            f"snapshot is {size} bytes; header needs {HEADER_SIZE}")
+            f"{noun} is {size} bytes; header needs {HEADER_SIZE}")
     (magic, version, n_sections, file_size, fp_bytes,
      payload_crc) = _HEADER.unpack_from(data, 0)
-    if magic != MAGIC:
-        raise StoreMagicError(
-            f"bad magic {bytes(magic)!r}; not a .rsnap snapshot")
-    if version != STORE_VERSION:
-        raise StoreVersionError(
-            f"snapshot version {version} != supported {STORE_VERSION}")
+    if magic != container.magic:
+        raise StoreMagicError(f"bad magic {bytes(magic)!r}; not a "
+                              f"{container.suffix} {noun}")
+    if version != container.version:
+        raise StoreVersionError(f"{noun} version {version} != "
+                                f"supported {container.version}")
     if file_size != size:
         raise StoreTruncatedError(
             f"header claims {file_size} bytes, file has {size}")
-    if n_sections > _MAX_SECTIONS:
+    if n_sections > container.max_sections:
         raise StoreLayoutError(f"implausible section count "
                                f"{n_sections}")
     meta_end = HEADER_SIZE + n_sections * SECTION_SIZE
@@ -258,7 +288,7 @@ def decode_header(data) -> SnapshotHeader:
                 f"section {tag!r} [{offset}, {offset + length}) "
                 f"outside payload [{payload_start}, {size})")
         sections[tag] = (offset, length)
-    for tag in REQUIRED_TAGS:
+    for tag in container.required_tags:
         if tag not in sections:
             raise StoreLayoutError(f"missing section {tag!r}")
     return SnapshotHeader(version=version, file_size=file_size,

@@ -10,6 +10,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -132,57 +133,82 @@ class TestGracefulTermination:
 
 
 class TestMultiWorkerServe:
-    def test_workers_boot_reload_and_terminate(self):
+    """One startup path: every worker count, 1 included, boots,
+    reloads on SIGHUP and stops the same way."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_workers_boot_reload_and_terminate(self, workers, study,
+                                               tmp_path):
+        reload_path = tmp_path / "reload.rsnap"
+        study.export_dataset(reload_path, format="binary")
         env = dict(os.environ)
         env["PYTHONPATH"] = "src"
         process = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", *TINY,
-             "serve", "--port", "0", "--workers", "2"],
+             "serve", "--port", "0", "--workers", str(workers)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True, env=env)
         try:
             announce = process.stdout.readline()
             match = re.search(
-                r"serving (\d+) packages \((\w+), (\d+) workers\) "
-                r"on http://([\d.]+):(\d+)", announce)
+                r"serving (\d+) packages \(fingerprint (\w+), "
+                r"(\w+), (\d+) workers?\) on http://([\d.]+):(\d+)",
+                announce)
             assert match, announce
-            assert int(match.group(3)) == 2
-            host, port = match.group(4), int(match.group(5))
+            assert int(match.group(4)) == workers
+            host, port = match.group(5), int(match.group(6))
 
-            def readyz():
+            def request(method, path, body=None):
                 conn = http.client.HTTPConnection(host, port,
                                                   timeout=10)
                 try:
-                    conn.request("GET", "/readyz")
+                    raw = json.dumps(body) if body is not None else None
+                    headers = ({"Content-Type": "application/json"}
+                               if raw else {})
+                    conn.request(method, path, body=raw,
+                                 headers=headers)
                     response = conn.getresponse()
                     worker = response.headers.get("X-Repro-Worker")
-                    return worker, json.loads(response.read())
+                    return (response.status, worker,
+                            json.loads(response.read()))
                 finally:
                     conn.close()
 
-            # both workers answer with identical provenance
+            # every worker answers with identical provenance, and the
+            # one the announce line named
             seen = {}
             deadline = time.time() + 60
-            while len(seen) < 2 and time.time() < deadline:
-                worker, payload = readyz()
+            while len(seen) < workers and time.time() < deadline:
+                _, worker, payload = request("GET", "/readyz")
                 seen[worker] = payload
-            assert len(seen) == 2, sorted(seen)
-            assert len({p["fingerprint"]
-                        for p in seen.values()}) == 1
+            assert len(seen) == workers, sorted(seen)
+            assert {p["fingerprint"][:12]
+                    for p in seen.values()} == {match.group(2)}
             assert {p["format"] for p in seen.values()} == {"rsnap"}
 
-            # SIGHUP fans the reload out to every worker
+            # SIGHUP reloads every worker
             process.send_signal(signal.SIGHUP)
             deadline = time.time() + 60
             generations = {}
             while time.time() < deadline:
-                worker, payload = readyz()
+                _, worker, payload = request("GET", "/readyz")
                 if payload.get("ready"):
                     generations[worker] = payload["generation"]
-                if len(generations) == 2 and \
+                if len(generations) == workers and \
                         set(generations.values()) == {2}:
                     break
             assert set(generations.values()) == {2}, generations
+
+            # POST /admin/reload only for a fleet of one
+            status, _, payload = request(
+                "POST", "/admin/reload", {"path": str(reload_path)})
+            if workers == 1:
+                assert status == 200, payload
+                assert payload["generation"] == 3
+            else:
+                assert status == 500, payload
+                assert payload["error"]["message"] == \
+                    "snapshot reload is disabled"
 
             process.send_signal(signal.SIGTERM)
             returncode = process.wait(timeout=60)
@@ -193,6 +219,38 @@ class TestMultiWorkerServe:
         stderr = process.stderr.read()
         assert returncode == 0
         assert "Traceback" not in stderr
+
+
+    def test_workers_exit_when_the_supervisor_is_killed(self):
+        # SIGKILL skips the supervisor's graceful stop; its workers
+        # must notice and free the port rather than serve as orphans.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src"
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *TINY,
+             "serve", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, env=env)
+        try:
+            announce = process.stdout.readline()
+            match = re.search(r"http://([\d.]+):(\d+)", announce)
+            assert match, announce
+            host, port = match.group(1), int(match.group(2))
+            process.kill()
+            process.wait(timeout=30)
+            deadline = time.time() + 30
+            while True:
+                try:
+                    socket.create_connection((host, port),
+                                             timeout=5).close()
+                except ConnectionRefusedError:
+                    break
+                assert time.time() < deadline, "orphan still serving"
+                time.sleep(0.1)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=30)
 
 
 class TestServeSmoke:

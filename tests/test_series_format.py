@@ -7,16 +7,19 @@ swapped sections, semantically impossible deltas — raises a typed
 :class:`repro.store.StoreError` before any partial release escapes.
 """
 
+import hashlib
+
 import pytest
 
 from repro.series import (SERIES_MAGIC, DatasetSeries, ReleaseDelta,
                           build_series, decode_delta, encode_delta,
                           load_series, load_series_bytes, series_info,
                           series_to_bytes, sniff_series, write_series)
-from repro.series.format import delta_tag, encode_series_file
+from repro.series.format import SERIES, delta_tag
 from repro.store import (StoreCRCError, StoreError, StoreLayoutError,
                          StoreMagicError, StoreTruncatedError,
                          StoreVersionError)
+from repro.store.format import encode_file
 from repro.synth import EvolutionConfig, evolve_corpus
 from repro.synth.paper import PaperScaleConfig
 
@@ -53,12 +56,20 @@ def reassemble(series, mutate):
         offset, length = series._header.sections[tag]
         sections.append((tag, bytes(series._data[offset:offset + length])))
     mutate(sections)
-    return encode_series_file(series.series_fingerprint, sections)
+    return encode_file(series.series_fingerprint, sections, SERIES)
 
 
 class TestRoundTrip:
     def test_encoding_is_byte_stable(self, datasets, series_bytes):
         assert series_to_bytes(datasets) == series_bytes
+
+    def test_wire_bytes_are_pinned(self, series_bytes):
+        # The sha256 of the 4-release train's .rser: any change to
+        # the bytes the writer produces fails here.  The digest does
+        # not depend on PYTHONHASHSEED.
+        assert hashlib.sha256(series_bytes).hexdigest() == (
+            "cd1d7545d73bb8d13d2bac384f966a38"
+            "be7d9733df22401de44186344119a1ed")
 
     def test_materialized_chain_reencodes_identically(self, series,
                                                       series_bytes):
@@ -142,7 +153,7 @@ class TestCorruption:
             load_series_bytes(bytes(mutated))
 
     def test_bit_flip_in_section_table(self, series_bytes):
-        from repro.series.format import HEADER_SIZE
+        from repro.store.format import HEADER_SIZE
         mutated = bytearray(series_bytes)
         mutated[HEADER_SIZE + 2] ^= 0x01
         with pytest.raises(StoreCRCError):

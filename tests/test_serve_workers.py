@@ -17,9 +17,9 @@ import time
 
 import pytest
 
-from repro.serve import (ServeApp, SnapshotHolder, WorkerSettings,
-                         WorkerSupervisor, default_mode,
-                         reuse_port_available)
+from repro.obs import parse_metrics
+from repro.serve import (ServeApp, SnapshotHolder, WorkerSupervisor,
+                         default_mode, reuse_port_available)
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="pre-fork serving needs fork")
@@ -294,12 +294,19 @@ class TestSocketModes:
             WorkerSupervisor(snapshot_path, mode="quantum")
 
     def test_settings_reach_workers(self, study, snapshot_path):
-        settings = WorkerSettings(concurrency=2,
-                                  max_wait_seconds=0.05)
         with WorkerSupervisor(snapshot_path, workers=1,
                               popcon=study.popcon,
                               repository=study.repository,
-                              settings=settings) as supervisor:
+                              concurrency=2,
+                              max_wait_seconds=0.05) as supervisor:
             status, _, body = fetch(supervisor, "GET", "/metrics")
             assert status == 200
             assert "repro_serve_admission_slots" in body.decode()
+            # a fleet of one keeps its metric names unlabelled
+            samples = parse_metrics(body.decode())
+            assert samples["repro_serve_admission_slots"] == 2.0
+
+    def test_unknown_app_option_is_rejected(self, snapshot_path):
+        # caught in the supervisor, not by a crash-looping worker
+        with pytest.raises(TypeError):
+            WorkerSupervisor(snapshot_path, cache_entires=8)

@@ -16,6 +16,8 @@ Three promises are pinned here:
   engine fault taxonomy.
 """
 
+import hashlib
+
 import pytest
 
 from repro.dataset import (Dataset, DatasetCodecError,
@@ -74,6 +76,14 @@ class TestRoundTrip:
                                      repository=corpus.repository)
         assert loaded.popcon is corpus.popcon
         assert loaded.repository is corpus.repository
+
+    def test_wire_bytes_are_pinned(self, snapshot_bytes):
+        # The sha256 of the tiny paper corpus's .rsnap: any change to
+        # the bytes the writer produces fails here.  The digest does
+        # not depend on PYTHONHASHSEED.
+        assert hashlib.sha256(snapshot_bytes).hexdigest() == (
+            "817235b8efef8ef371e3219213f37c7c"
+            "2721f0a0b71ca9bdb15aac0daf2e8943")
 
     def test_mmap_load_from_disk(self, corpus, tmp_path):
         path = tmp_path / "corpus.rsnap"
@@ -209,19 +219,6 @@ class TestErrorContract:
         assert dataset_to_json(loaded) == \
             dataset_to_json(corpus.dataset)
         assert loaded.popcon is corpus.popcon
-
-    def test_cache_reads_legacy_json_snapshots(self, corpus,
-                                               tmp_path):
-        cache = AnalysisCache(str(tmp_path))
-        fingerprint = footprints_fingerprint(corpus.dataset)
-        legacy = cache._json_dataset_path(fingerprint)
-        legacy.parent.mkdir(parents=True, exist_ok=True)
-        legacy.write_text(dataset_to_json(corpus.dataset),
-                          encoding="utf-8")
-        loaded = cache.get_dataset(fingerprint)
-        assert loaded is not None
-        assert dataset_to_json(loaded) == \
-            dataset_to_json(corpus.dataset)
 
     def test_magic_is_binary_sniffable(self):
         # PNG-style: high bit set, CR LF to catch text-mode mangling.
