@@ -236,9 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=_job_count, default=1,
                        metavar="N",
                        help="worker processes sharing one port "
-                            "(SO_REUSEPORT where available, inherited "
-                            "socket otherwise), each mmap-loading the "
-                            "same .rsnap or --series file; for every "
+                            "(for N > 1, SO_REUSEPORT where available; "
+                            "one inherited socket otherwise), each "
+                            "mmap-loading the same .rsnap or --series "
+                            "file; for every "
                             "N, SIGHUP hot-reloads all workers and "
                             "SIGTERM drains; POST /admin/reload is on "
                             "only for N=1 (default: 1)")
@@ -503,6 +504,7 @@ def _serve(study: Optional[Study], args: argparse.Namespace) -> int:
     with N workers that mmap the same bytes.  SIGHUP reloads every
     worker from its source; ``/admin/reload`` stays on only for N=1.
     """
+    import gc
     import os
     import shutil
     import tempfile
@@ -539,7 +541,10 @@ def _serve(study: Optional[Study], args: argparse.Namespace) -> int:
             deadline_seconds=(args.deadline_ms / 1000.0
                               if args.deadline_ms > 0 else None),
             allow_reload=not args.no_reload)
-        workers = (f"{args.workers} worker"
+        # Workers inherit the study's heap copy-on-write; keep their
+        # collector from touching (and so copying) those pages.
+        gc.freeze()
+        workers =(f"{args.workers} worker"
                    f"{'s' if args.workers > 1 else ''}")
         supervisor.run(on_ready=lambda: print(
             f"serving {what} (fingerprint {fingerprint}, "

@@ -19,7 +19,8 @@ Architecture::
         └── worker N ── each: own ServeApp + ThreadingTransport,
                         own qcache/admission/registry (labelled, N>1)
 
-Two socket arrangements, picked per platform:
+Two socket arrangements; ``mode="auto"`` picks ``reuseport`` for a
+fleet where the platform has it and ``inherit`` for one worker:
 
 * ``reuseport`` (Linux et al.) — the supervisor binds the address
   once *without* listening (reserving the port and resolving port 0),
@@ -27,10 +28,15 @@ Two socket arrangements, picked per platform:
   the resolved address; the kernel spreads connections across the
   per-worker accept queues, and a dead worker's queue is dropped the
   moment its socket closes.
-* ``inherit`` (fallback) — the supervisor binds *and listens*, and
-  forked workers accept from the one inherited socket; a dead
-  worker's pending connections simply wait in the shared backlog for
-  a sibling (or the restarted worker) to accept them.
+* ``inherit`` — the supervisor binds *and listens*, and forked
+  workers accept from the one inherited socket; a dead worker's
+  pending connections simply wait in the shared backlog for a
+  sibling (or the restarted worker) to accept them.
+
+Either way the supervisor's own bind is made without
+``SO_REUSEPORT``, so an address some other server already holds —
+another ``repro-analyze serve`` included — fails with ``EADDRINUSE``
+instead of silently splitting its traffic with this one.
 
 Crash recovery: the supervisor monitors worker processes and restarts
 any that die unexpectedly, with exponential backoff that resets after
@@ -96,7 +102,7 @@ class _WorkerHandle:
 
 
 def default_mode() -> str:
-    """The socket arrangement this platform supports best."""
+    """The socket arrangement this platform supports best for N > 1."""
     return "reuseport" if reuse_port_available() else "inherit"
 
 
@@ -221,7 +227,9 @@ class WorkerSupervisor:
             raise TypeError(f"not a worker ServeApp option: "
                             f"{', '.join(sorted(unknown))}")
         if mode == "auto":
-            mode = default_mode()
+            # One worker gains nothing from per-worker queues, and the
+            # inherited backlog keeps queueing while it restarts.
+            mode = default_mode() if workers > 1 else "inherit"
         if mode not in ("reuseport", "inherit"):
             raise ValueError(f"unknown socket mode: {mode!r}")
         if mode == "reuseport" and not reuse_port_available():
@@ -287,15 +295,17 @@ class WorkerSupervisor:
         try:
             sock.setsockopt(socket.SOL_SOCKET,
                             socket.SO_REUSEADDR, 1)
+            # Sharing a port takes SO_REUSEPORT on every socket bound
+            # to it, this one included, so binding before setting it
+            # fails on an address that is already held.
+            sock.bind(self._requested)
             if self.mode == "reuseport":
                 # Bound but never listening: reserves the port (and
                 # resolves port 0) while workers own the real accept
                 # queues on their own SO_REUSEPORT sockets.
                 sock.setsockopt(socket.SOL_SOCKET,
                                 socket.SO_REUSEPORT, 1)
-                sock.bind(self._requested)
             else:
-                sock.bind(self._requested)
                 sock.listen(_BACKLOG)
             self._address = sock.getsockname()
             self._socket = sock

@@ -24,10 +24,10 @@ TINY = ["--fillers", "24", "--drivers", "6", "--scripts", "10",
 def run_cli(*argv, **kwargs):
     env = dict(os.environ)
     env["PYTHONPATH"] = "src"
+    kwargs.setdefault("timeout", 180)
     return subprocess.run(
         [sys.executable, "-m", "repro.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=180,
-        **kwargs)
+        capture_output=True, text=True, env=env, **kwargs)
 
 
 class TestUsageErrors:
@@ -220,7 +220,6 @@ class TestMultiWorkerServe:
         assert returncode == 0
         assert "Traceback" not in stderr
 
-
     def test_workers_exit_when_the_supervisor_is_killed(self):
         # SIGKILL skips the supervisor's graceful stop; its workers
         # must notice and free the port rather than serve as orphans.
@@ -251,6 +250,33 @@ class TestMultiWorkerServe:
             if process.poll() is None:
                 process.kill()
                 process.wait(timeout=30)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_second_serve_on_the_same_port_exits_1(self, workers):
+        # Two servers sharing one port would split its traffic between
+        # them, whatever each serves; the second must fail to bind.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src"
+        first = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *TINY,
+             "serve", "--port", "0", "--workers", str(workers)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, env=env)
+        try:
+            announce = first.stdout.readline()
+            match = re.search(r"http://[\d.]+:(\d+)", announce)
+            assert match, announce
+            second = run_cli(*TINY, "serve", "--port", match.group(1),
+                             "--workers", str(workers), timeout=60)
+            assert second.returncode == 1, second.stdout
+            assert "Traceback" not in second.stderr
+            assert first.poll() is None
+            first.send_signal(signal.SIGTERM)
+            assert first.wait(timeout=60) == 0
+        finally:
+            if first.poll() is None:
+                first.kill()
+                first.wait(timeout=30)
 
 
 class TestServeSmoke:

@@ -287,6 +287,28 @@ class TestSocketModes:
         finally:
             taken.close()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_port_held_by_another_fleet_raises_at_bind(
+            self, study, snapshot_path, workers):
+        # Sharing needs SO_REUSEPORT on every socket bound to the
+        # port; the second fleet's supervisor binds without it.
+        with WorkerSupervisor(snapshot_path, workers=workers,
+                              popcon=study.popcon,
+                              repository=study.repository) as first:
+            if workers == 1:
+                assert first.mode == "inherit"
+            second = WorkerSupervisor(
+                snapshot_path, workers=workers,
+                port=first.port,
+                popcon=study.popcon, repository=study.repository)
+            try:
+                with pytest.raises(OSError):
+                    second.start()
+            finally:
+                second.stop()
+            status, _, _ = fetch(first, "GET", "/healthz")
+            assert status == 200
+
     def test_rejects_bad_configuration(self, snapshot_path):
         with pytest.raises(ValueError):
             WorkerSupervisor(snapshot_path, workers=0)
