@@ -70,6 +70,12 @@ class Gauge:
             self.value += delta
 
 
+def _nearest_rank(ordered: List[float], q: float) -> float:
+    """Nearest-rank percentile of a non-empty sorted list."""
+    rank = max(1, -(-len(ordered) * q // 100))  # ceil, floor at 1
+    return ordered[int(rank) - 1]
+
+
 class Histogram:
     """Latency histogram with nearest-rank percentiles."""
 
@@ -99,8 +105,7 @@ class Histogram:
             if not self._observations:
                 return 0.0
             ordered = sorted(self._observations)
-        rank = max(1, -(-len(ordered) * q // 100))  # ceil, floor at 1
-        return ordered[int(rank) - 1]
+        return _nearest_rank(ordered, q)
 
     @property
     def p50(self) -> float:
@@ -120,13 +125,14 @@ class Histogram:
         if not observations:
             return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
                     "p50": 0.0, "p90": 0.0, "p99": 0.0}
+        ordered = sorted(observations)
         return {"count": len(observations),
                 "sum": sum(observations),
                 "min": min(observations),
                 "max": max(observations),
-                "p50": self.percentile(50),
-                "p90": self.percentile(90),
-                "p99": self.percentile(99)}
+                "p50": _nearest_rank(ordered, 50),
+                "p90": _nearest_rank(ordered, 90),
+                "p99": _nearest_rank(ordered, 99)}
 
 
 class MetricsRegistry:

@@ -9,7 +9,8 @@ Request lifecycle for a query endpoint::
 
     route -> admission slot -> deadline start -> snapshot pin
           -> normalize params -> result cache probe
-          -> [miss: compute payload under a span] -> envelope -> JSON
+          -> [miss: compute payload under a span, encode it once,
+              cache the bytes] -> splice cached bytes
 
 Every response body is canonical JSON (sorted keys, compact
 separators) carrying a versioned schema::
@@ -18,10 +19,12 @@ separators) carrying a versioned schema::
      "fingerprint": ..., "generation": ..., "cached": ...,
      "data": {...}}
 
-and errors use the same envelope with ``"error"`` in place of
-``"data"``, its ``class`` drawn from the serve request taxonomy
-(:mod:`repro.serve.endpoints`) or, for failures escaping the metric
-kernels, the engine's analysis taxonomy
+A query answer's body is spliced from the payload's cached encoding
+and the small envelope fields (:func:`splice_envelope`), so a cache
+hit never encodes the payload again.  Errors use the same envelope
+with ``"error"`` in place of ``"data"``, its ``class`` drawn from the
+serve request taxonomy (:mod:`repro.serve.endpoints`) or, for
+failures escaping the metric kernels, the engine's analysis taxonomy
 (:func:`repro.engine.errors.classify_exception`) — the server speaks
 one error language from the HTTP edge down to the decoder.
 
@@ -68,6 +71,23 @@ def canonical_json(payload: Any) -> bytes:
     return json.dumps(payload, sort_keys=True,
                       separators=(",", ":"),
                       allow_nan=False).encode("utf-8")
+
+
+def splice_envelope(meta: Mapping[str, Any], cached: bool,
+                    data: bytes) -> bytes:
+    """One answer's response body, built around encoded ``data``.
+
+    Equals ``canonical_json({**meta, "cached": cached, "data":
+    payload}) + b"\n"`` where ``data == canonical_json(payload)``, but
+    encodes only ``meta``.  The splice is valid because canonical JSON
+    sorts keys and ``"cached"`` < ``"data"`` < every key of ``meta``
+    (schema, version, endpoint, fingerprint, generation, release,
+    tenant), so the two fixed fields always lead the object.  ``meta``
+    must be non-empty and must not carry ``cached`` or ``data``.
+    """
+    return b"".join((b'{"cached":', b"true" if cached else b"false",
+                     b',"data":', data, b",", canonical_json(meta)[1:],
+                     b"\n"))
 
 
 @dataclass
@@ -435,8 +455,8 @@ class ServeApp:
         key = canonical_query_key(
             f"{target.tenant}:{target.fingerprint}",
             endpoint.name, params)
-        payload = self.qcache.get(key) if endpoint.cacheable else None
-        cached = payload is not None
+        data = self.qcache.get(key) if endpoint.cacheable else None
+        cached = data is not None
         span.attrs["cached"] = cached
         if cached:
             self.registry.counter("serve.qcache.hit").inc()
@@ -453,23 +473,25 @@ class ServeApp:
                 f"serve.endpoint.{endpoint.name}.compute_seconds"
             ).observe(time.perf_counter() - start)
             deadline.check("compute")
+            # Encoded once; a payload that cannot be encoded (NaN)
+            # raises here and is never cached.
+            data = canonical_json(payload)
             if endpoint.cacheable:
-                self.qcache.put(key, payload)
-        envelope = {
+                self.qcache.put(key, data)
+        meta = {
             "schema": SERVE_SCHEMA,
             "version": SERVE_SCHEMA_VERSION,
             "endpoint": endpoint.name,
             "fingerprint": target.fingerprint,
             "generation": target.generation,
-            "cached": cached,
-            "data": payload,
         }
         if target.release is not None:
-            envelope["release"] = target.release
+            meta["release"] = target.release
         if target.tenant != DEFAULT_TENANT:
-            envelope["tenant"] = target.tenant
+            meta["tenant"] = target.tenant
         deadline.check("encode")
-        return Response.json(200, envelope)
+        return Response(status=200,
+                        body=splice_envelope(meta, cached, data))
 
     # --- error envelope -------------------------------------------------
 

@@ -17,10 +17,11 @@ Two bounds keep the cache honest under a production workload:
   ceiling on how long any answer, however hot, is served without
   recomputation.
 
-All operations take one lock; values are stored as opaque objects and
-never copied, so callers must treat cached payloads as immutable
-(the serve layer does — payload dicts are built fresh per computation
-and only ever serialized afterwards).
+The serve layer stores each answer's encoded payload — the
+``canonical_json`` bytes of the payload dict, not the dict — so a hit
+is spliced into the response envelope without encoding the payload
+again.  All operations take one lock; values are stored as opaque
+objects and never copied (bytes are immutable anyway).
 """
 
 from __future__ import annotations

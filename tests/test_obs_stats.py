@@ -12,6 +12,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.engine.stats as stats_module
 from repro.engine.errors import FailureRecord
@@ -219,6 +221,17 @@ class TestMetricsPrimitives:
         assert histogram.p90 == 90.0
         assert histogram.p99 == 99.0
         assert histogram.percentile(100) == 100.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=300))
+    def test_snapshot_percentiles_match_percentile(self, values):
+        histogram = MetricsRegistry().histogram("h.values")
+        for value in values:
+            histogram.observe(value)
+        snapshot = histogram.snapshot()
+        for q in (50, 90, 99):
+            assert snapshot[f"p{q}"] == histogram.percentile(q)
 
     def test_empty_histogram_snapshot(self):
         snapshot = MetricsRegistry().histogram("h.empty").snapshot()

@@ -32,11 +32,15 @@ class SteppingClock:
         return self.now
 
 
-# A span-tree node: (name, raises_after_children, children).
+# A span-tree node: (name, raises_after_children, children).  The
+# tree is bounded by leaf count, so Hypothesis never has to discard
+# an oversized draw.
 _names = st.sampled_from(["scan", "hash", "analyze", "resolve"])
-_node = st.deferred(
-    lambda: st.tuples(_names, st.booleans(),
-                      st.lists(_node, max_size=3)))
+_node = st.recursive(
+    st.tuples(_names, st.booleans(), st.just([])),
+    lambda children: st.tuples(_names, st.booleans(),
+                               st.lists(children, max_size=3)),
+    max_leaves=12)
 _forest = st.lists(_node, min_size=1, max_size=4)
 
 

@@ -5,13 +5,19 @@ All through :meth:`repro.serve.ServeApp.handle` directly — no sockets
 behavior is testable as a pure ``Request -> Response`` function.
 """
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.serve.app as app_module
 from repro.obs import parse_metrics
-from repro.serve import (SERVE_SCHEMA, SERVE_SCHEMA_VERSION, Request,
-                         ServeApp, SnapshotHolder)
+from repro.serve import (ENDPOINTS_BY_NAME, SERVE_SCHEMA,
+                         SERVE_SCHEMA_VERSION, Request, ServeApp,
+                         SnapshotHolder, canonical_json)
+from repro.serve.app import splice_envelope
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +117,68 @@ class TestEnvelope:
         response = post(app, "/v1/completeness",
                         {"supported": ["read", "write"]})
         assert response.json_payload()["cached"] is True
+
+
+_json_leaves = (st.integers()
+                | st.floats(allow_nan=False, allow_infinity=False)
+                | st.sampled_from([-0.0, 1e308, -1e308])
+                | st.text())
+_json_values = st.recursive(
+    _json_leaves,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(), children,
+                                        max_size=4)),
+    max_leaves=20)
+_meta = st.fixed_dictionaries(
+    {"schema": st.just(SERVE_SCHEMA),
+     "version": st.just(SERVE_SCHEMA_VERSION),
+     "endpoint": st.sampled_from(sorted(ENDPOINTS_BY_NAME)),
+     "fingerprint": st.text("0123456789abcdef", min_size=1),
+     "generation": st.integers(min_value=1)},
+    optional={"release": st.integers(min_value=0),
+              "tenant": st.text(min_size=1) | st.just("débian-β")})
+
+
+class TestSplice:
+    @settings(max_examples=200, deadline=None)
+    @given(meta=_meta, cached=st.booleans(), payload=_json_values)
+    def test_splice_equals_encoding_the_whole_envelope(
+            self, meta, cached, payload):
+        spliced = splice_envelope(meta, cached, canonical_json(payload))
+        assert spliced == canonical_json(
+            {**meta, "cached": cached, "data": payload}) + b"\n"
+
+    def test_warm_hit_never_encodes_the_payload(self, app,
+                                                monkeypatch):
+        first = get(app, "/v1/importance", limit=5)
+        payload = first.json_payload()["data"]
+        encoded = []
+
+        def recording(value):
+            encoded.append(value)
+            return canonical_json(value)
+
+        monkeypatch.setattr(app_module, "canonical_json", recording)
+        second = get(app, "/v1/importance", limit=5)
+        assert second.json_payload()["cached"] is True
+        assert second.json_payload()["data"] == payload
+        assert encoded, "the envelope fields are still encoded"
+        for value in encoded:
+            assert value != payload
+            assert "data" not in value
+
+    def test_unencodable_payload_errors_alike_and_is_not_cached(
+            self, app):
+        stats = app._routes["/v1/dataset/stats"]["GET"]
+        app._routes["/v1/dataset/stats"]["GET"] = dataclasses.replace(
+            stats, payload=lambda dataset, params: {
+                "value": float("nan")})
+        first = get(app, "/v1/dataset/stats")
+        second = get(app, "/v1/dataset/stats")
+        assert first.status == second.status == 400
+        assert first.json_payload()["error"]["class"] == \
+            second.json_payload()["error"]["class"] == "bad_request"
+        assert len(app.qcache) == 0
 
 
 class TestErrors:
