@@ -10,10 +10,14 @@ into ``benchmarks/output/BENCH_series.json``:
 * **cold open** — bytes-on-disk to a first importance answer for
   every release, walking the delta chain vs opening ten full
   snapshots;
+* **cold path** — ``at(k)`` seconds for every release, each on a
+  freshly opened series (so each replays its chain from the base),
+  and ``at(head)`` plus the first importance answer on another fresh
+  series: the reload-to-first-answer path time-travel serving pays;
 * **identity** — ``series.at(k)`` must answer bit-identically to the
-  eagerly evolved release ``k`` (importance tables and package rows)
-  for every ``k``, at this scale too, not just the test-sized corpora
-  the unit suites cover.
+  eagerly evolved release ``k`` (importance tables, package rows and
+  every source footprint) for every ``k``, at this scale too, not
+  just the test-sized corpora the unit suites cover.
 """
 
 import json
@@ -71,6 +75,15 @@ def test_series_storage_and_cold_open(output_dir, save, tmp_path):
     series_seconds, via_series = _timed(open_series)
     rsnap_seconds, via_snapshots = _timed(open_snapshots)
 
+    # Cold path: each at(k) on a fresh series replays k deltas.
+    at_seconds = []
+    for release in range(_N_RELEASES):
+        fresh = load_series(series_path)
+        at_seconds.append(_timed(lambda: fresh.at(release))[0])
+    fresh = load_series(series_path)
+    head_seconds, head = _timed(lambda: fresh.head)
+    first_importance_seconds, _ = _timed(lambda: importance_table(head))
+
     # Identity at scale: lazy == eager for every release.
     eager = [importance_table(dataset) for dataset in datasets]
     assert via_series == eager, \
@@ -79,6 +92,7 @@ def test_series_storage_and_cold_open(output_dir, save, tmp_path):
     for release, dataset in enumerate(datasets):
         lazy = series.at(release)
         assert lazy.packages == dataset.packages
+        assert dict(lazy) == dict(dataset)
         assert lazy.source_fingerprint == \
             series.fingerprints[release]
 
@@ -93,6 +107,9 @@ def test_series_storage_and_cold_open(output_dir, save, tmp_path):
         "series_cold_open_seconds": series_seconds,
         "rsnap_cold_open_seconds": rsnap_seconds,
         "cold_open_ratio": series_seconds / rsnap_seconds,
+        "at_seconds_per_release": at_seconds,
+        "at_head_seconds": head_seconds,
+        "first_importance_seconds": first_importance_seconds,
         "identical_all_releases": True,
     }
     (output_dir / "BENCH_series.json").write_text(
@@ -110,6 +127,10 @@ def test_series_storage_and_cold_open(output_dir, save, tmp_path):
         "(all releases)",
         f"  rsnap opens     {rsnap_seconds * 1000:.1f} ms "
         "(all releases)",
+        "  at(k), fresh    " + " ".join(
+            f"{seconds * 1000:.0f}" for seconds in at_seconds) + " ms",
+        f"  at(head)        {head_seconds * 1000:.1f} ms, first "
+        f"importance {first_importance_seconds * 1000:.1f} ms",
     ]))
 
     assert storage_ratio < _MAX_STORAGE_RATIO, (

@@ -32,7 +32,7 @@ from .bitset import DIMENSION_INDEX, BitsetFootprint
 from .dimensions import (DIMENSION_ORDER, FOOTPRINT_FIELDS,
                          NAMESPACE_PREFIXES, split_namespaced)
 from .graph import CondensedDependencyGraph
-from .interner import ApiInterner, iter_bits
+from .interner import BYTE_BITS, ApiInterner
 
 
 class ApiSpace:
@@ -336,10 +336,18 @@ class Dataset(MappingABC):
         """
         cached = self._users.get(dimension)
         if cached is None:
-            cached = [[] for _ in range(self.space.size(dimension))]
+            size = self.space.size(dimension)
+            cached = [[] for _ in range(size)]
+            width = (size + 7) // 8
             for pkg_id, mask in enumerate(self.masks(dimension)):
-                for api_id in iter_bits(mask):
-                    cached[api_id].append(pkg_id)
+                if not mask:
+                    continue
+                base = 0
+                for byte in mask.to_bytes(width, "little"):
+                    if byte:
+                        for bit in BYTE_BITS[byte]:
+                            cached[base + bit].append(pkg_id)
+                    base += 8
             self._users[dimension] = cached
         return cached
 

@@ -35,6 +35,15 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+#: byte value -> the positions of its set bits, ascending.  Walking a
+#: mask's little-endian bytes through this table visits its bits in
+#: the same order :func:`iter_bits` does, one table lookup per
+#: non-zero byte instead of one generator step per bit.
+BYTE_BITS: Tuple[Tuple[int, ...], ...] = tuple(
+    tuple(bit for bit in range(8) if value >> bit & 1)
+    for value in range(256))
+
+
 class ApiInterner:
     """Immutable name ⇄ dense-id mapping for one API dimension."""
 

@@ -8,6 +8,14 @@ decodes the first time the chain walks past it, and materialized
 releases are cached so trend queries that sweep release ranges pay for
 each release once.
 
+A replayed release is the same mask-backed
+:class:`repro.store.SnapshotDataset` a ``.rsnap`` opens to, with the
+release's decoded mask rows as its column source: a dimension's mask
+column is read out of the rows on the first query over it, and a
+package's :class:`repro.analysis.footprint.Footprint` is built only on
+``dataset[name]``.  So ``at(k)`` costs the delta walk plus the
+release's popcon and repository, not packages times names.
+
 Corruption discipline matches the store: every failure raises a typed
 :class:`repro.store.StoreError` *before* any partial state is
 published — a release either materializes completely or the series
@@ -22,16 +30,16 @@ import mmap
 import pathlib
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.footprint import Footprint
-from ..dataset.bitset import BitsetFootprint
+from ..dataset.bitset import DIMENSION_INDEX
 from ..dataset.core import Dataset
-from ..dataset.dimensions import DIMENSION_ORDER, FOOTPRINT_FIELDS
+from ..dataset.dimensions import DIMENSION_ORDER
 from ..packages.package import Package
 from ..packages.popcon import PopularityContest
 from ..packages.repository import Repository
 from ..store.errors import StoreLayoutError, StoreTruncatedError
 from ..store.format import SnapshotHeader, decode_header
-from ..store.reader import load_snapshot_bytes
+from ..store.reader import (ColumnSource, SnapshotDataset,
+                            load_snapshot_bytes)
 from .format import (MAX_RELEASES, SERIES, SERIES_MAGIC, ReleaseDelta,
                      decode_delta, delta_tag)
 
@@ -44,6 +52,18 @@ def sniff_series(head: bytes) -> bool:
 #: name -> (unresolved_sites, one mask per dimension); insertion order
 #: is the release's canonical package order.
 _Rows = Dict[str, Tuple[int, Tuple[int, ...]]]
+
+
+def _row_columns(rows: _Rows) -> ColumnSource:
+    """The column source of a replayed release: one dimension's masks,
+    read out of the release's rows when first asked for."""
+    mask_rows = [masks for _, masks in rows.values()]
+
+    def column(dimension: str) -> List[int]:
+        index = DIMENSION_INDEX[dimension]
+        return [masks[index] for masks in mask_rows]
+
+    return column
 
 
 class _ReleaseState:
@@ -64,9 +84,10 @@ class _ReleaseState:
 class DatasetSeries:
     """A validated multi-release series with lazy time travel.
 
-    ``at(k)`` returns release ``k`` as a real
-    :class:`repro.dataset.Dataset` — bit-identical metric results to an
-    eager rebuild of that release — materializing (and caching) only
+    ``at(k)`` returns release ``k`` as a mask-backed
+    :class:`repro.store.SnapshotDataset` — a real
+    :class:`repro.dataset.Dataset` with bit-identical metric results to
+    an eager rebuild of that release — materializing (and caching) only
     the releases actually touched.
     """
 
@@ -97,10 +118,6 @@ class DatasetSeries:
         self._deltas: Dict[int, ReleaseDelta] = {}
         self._states: Dict[int, _ReleaseState] = {}
         self._datasets: Dict[int, Dataset] = {}
-        # Footprint rows repeat heavily across releases (survivors
-        # dominate); share the constructed objects.
-        self._footprint_memo: Dict[Tuple[int, Tuple[int, ...]],
-                                   Footprint] = {}
 
     @staticmethod
     def _decode_smet(data, header: SnapshotHeader) -> Dict:
@@ -246,7 +263,13 @@ class DatasetSeries:
     # --- public surface --------------------------------------------------
 
     def at(self, release: int) -> Dataset:
-        """Materialize release ``release`` (cached per release)."""
+        """Materialize release ``release`` (cached per release).
+
+        Release 0 is the embedded base snapshot; a later release is a
+        :class:`repro.store.SnapshotDataset` over the rows its delta
+        chain leaves, with its popcon and repository built (and
+        checked) before it is published.  No footprint is built here.
+        """
         if not isinstance(release, int) or isinstance(release, bool):
             raise ValueError(f"unknown release {release!r}")
         if not 0 <= release < self.n_releases:
@@ -265,24 +288,6 @@ class DatasetSeries:
                     f"release {release} materializes "
                     f"{len(state.rows)} packages, SMET says "
                     f"{self.n_packages[release]}")
-            space = self._base_dataset().space
-            interners = [space.interner(dim) for dim in DIMENSION_ORDER]
-            fields = [FOOTPRINT_FIELDS[dim] for dim in DIMENSION_ORDER]
-            memo = self._footprint_memo
-            footprints: Dict[str, Footprint] = {}
-            bitsets: List[BitsetFootprint] = []
-            for name, row in state.rows.items():
-                footprint = memo.get(row)
-                if footprint is None:
-                    unresolved, masks = row
-                    footprint = Footprint(
-                        unresolved_sites=unresolved,
-                        **{field: frozenset(interner.names_of(mask))
-                           for field, interner, mask
-                           in zip(fields, interners, masks)})
-                    memo[row] = footprint
-                footprints[name] = footprint
-                bitsets.append(BitsetFootprint(row[1]))
             popcon = None
             if state.popcon is not None:
                 try:
@@ -303,10 +308,13 @@ class DatasetSeries:
                 except ValueError as exc:
                     raise StoreLayoutError(
                         f"release {release} deps: {exc}") from None
-            dataset = Dataset(footprints, popcon=popcon,
-                              repository=repository, space=space,
-                              bitsets=bitsets)
-            dataset.source_fingerprint = self.fingerprints[release]
+            dataset = SnapshotDataset(
+                packages=tuple(state.rows),
+                space=self._base_dataset().space,
+                column=_row_columns(state.rows),
+                unresolved=tuple(row[0] for row in state.rows.values()),
+                popcon=popcon, repository=repository,
+                source_fingerprint=self.fingerprints[release])
         self._datasets[release] = dataset
         return dataset
 

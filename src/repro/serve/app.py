@@ -10,7 +10,11 @@ Request lifecycle for a query endpoint::
     route -> admission slot -> deadline start -> snapshot pin
           -> normalize params -> result cache probe
           -> [miss: compute payload under a span, encode it once,
-              cache the bytes] -> splice cached bytes
+              cache the bytes, then check the deadline]
+          -> splice cached bytes
+
+A miss that overruns its deadline answers 504, but its bytes are
+already cached: the result is still correct, so the retry is a hit.
 
 Every response body is canonical JSON (sorted keys, compact
 separators) carrying a versioned schema::
@@ -472,12 +476,15 @@ class ServeApp:
             self.registry.histogram(
                 f"serve.endpoint.{endpoint.name}.compute_seconds"
             ).observe(time.perf_counter() - start)
-            deadline.check("compute")
             # Encoded once; a payload that cannot be encoded (NaN)
             # raises here and is never cached.
             data = canonical_json(payload)
             if endpoint.cacheable:
                 self.qcache.put(key, data)
+            # A result that finished late is still correct: it is
+            # cached before the deadline answers 504, so the retry is
+            # a hit instead of paying the whole compute again.
+            deadline.check("compute")
         meta = {
             "schema": SERVE_SCHEMA,
             "version": SERVE_SCHEMA_VERSION,

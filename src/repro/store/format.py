@@ -155,9 +155,6 @@ class Cursor:
         self.pos = end
         return chunk
 
-    def u16(self) -> int:
-        return _U16.unpack(self._take(2))[0]
-
     def u32(self) -> int:
         return _U32.unpack(self._take(4))[0]
 
@@ -169,10 +166,22 @@ class Cursor:
         return struct.unpack(f"<{count}Q", raw)
 
     def string(self) -> str:
-        length = self.u16()
-        raw = self._take(length)
+        # The hot decode of every name table: one length read and one
+        # decode straight off the (possibly mapped) buffer.
+        data = self.data
+        start = self.pos + 2
+        if start > len(data):
+            raise StoreLayoutError(
+                f"section {self.tag}: read past end "
+                f"({start} > {len(data)})")
+        end = start + (data[start - 2] | data[start - 1] << 8)
+        if end > len(data):
+            raise StoreLayoutError(
+                f"section {self.tag}: read past end "
+                f"({end} > {len(data)})")
+        self.pos = end
         try:
-            return bytes(raw).decode("utf-8")
+            return str(data[start:end], "utf-8")
         except UnicodeDecodeError as exc:
             raise StoreLayoutError(
                 f"section {self.tag}: bad utf-8 ({exc})") from None
@@ -182,7 +191,8 @@ class Cursor:
         if count > len(self.data):  # each entry is >= 2 bytes
             raise StoreLayoutError(
                 f"section {self.tag}: impossible count {count}")
-        return [self.string() for _ in range(count)]
+        string = self.string
+        return [string() for _ in range(count)]
 
     def exhausted(self) -> bool:
         return self.pos == len(self.data)

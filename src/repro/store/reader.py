@@ -19,6 +19,10 @@ A :class:`SnapshotDataset` is a real :class:`repro.dataset.Dataset`:
 same Mapping contract, same lazy caches, bit-identical metric results
 (``tests/test_store_roundtrip.py`` pins all three paths — eager JSON,
 mmap-lazy, and the legacy reference implementations — to equality).
+It takes its mask columns from one column-source callable, so the
+same class also serves a series release: :meth:`DatasetSeries.at
+<repro.series.DatasetSeries.at>` hands it a source that reads the
+release's decoded mask rows instead of the map.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import io
 import json
 import mmap
 import pathlib
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..analysis.footprint import Footprint
 from ..dataset.bitset import BitsetFootprint
@@ -47,20 +51,25 @@ def sniff_format(head: bytes) -> str:
     return "rsnap" if bytes(head[:len(MAGIC)]) == MAGIC else "json"
 
 
-class SnapshotDataset(Dataset):
-    """A :class:`Dataset` whose per-package state lives in a snapshot.
+#: dimension -> that dimension's per-package masks, in package order.
+ColumnSource = Callable[[str], List[int]]
 
-    Construction decodes only names; masks, bitsets, and source
-    footprints materialize per dimension / per package on first touch
-    and are memoized in the same caches the eager class uses, so a
-    warmed-up ``SnapshotDataset`` is indistinguishable from an eager
-    one.  ``rebound`` (and therefore :func:`repro.dataset.as_dataset`)
-    materializes everything first — the clone is a plain eager
-    :class:`Dataset` with no tie to the underlying buffer.
+
+class SnapshotDataset(Dataset):
+    """A :class:`Dataset` whose per-package state stays in mask columns.
+
+    Construction takes only names and a :data:`ColumnSource`; masks,
+    bitsets, and source footprints materialize per dimension / per
+    package on first touch and are memoized in the same caches the
+    eager class uses, so a warmed-up ``SnapshotDataset`` is
+    indistinguishable from an eager one.  ``rebound`` (and therefore
+    :func:`repro.dataset.as_dataset`) materializes everything first —
+    the clone is a plain eager :class:`Dataset` with no tie to the
+    column source.
     """
 
     def __init__(self, packages: Tuple[str, ...], space: ApiSpace,
-                 buffer, mask_slices: Dict[str, Tuple[int, int]],
+                 column: ColumnSource,
                  unresolved: Tuple[int, ...],
                  popcon: Optional[PopularityContest],
                  repository: Optional[Repository],
@@ -79,8 +88,7 @@ class SnapshotDataset(Dataset):
         #: content address a fresh ``footprints_fingerprint`` run would
         #: produce, available without touching a single footprint.
         self.source_fingerprint = source_fingerprint
-        self._buffer = buffer
-        self._mask_slices = mask_slices   # dim -> (offset, row_bytes)
+        self._column = column
         self._unresolved = unresolved
         self._bitsets: Optional[List[BitsetFootprint]] = None
         # Keeps the mmap/file objects alive as long as the dataset is.
@@ -111,18 +119,7 @@ class SnapshotDataset(Dataset):
                         if mask:
                             cached[i] |= mask << shift
             else:
-                offset, row_bytes = self._mask_slices[dimension]
-                if row_bytes == 0:
-                    cached = [0] * len(self.packages)
-                else:
-                    buffer = self._buffer
-                    from_bytes = int.from_bytes
-                    cached = [
-                        from_bytes(
-                            buffer[offset + i * row_bytes:
-                                   offset + (i + 1) * row_bytes],
-                            "little")
-                        for i in range(len(self.packages))]
+                cached = self._column(dimension)
             self._masks[dimension] = cached
         return cached
 
@@ -251,6 +248,24 @@ def _decode_repository(data,
         raise StoreLayoutError(f"DEPS: {exc}") from None
 
 
+def _mapped_columns(data, mask_slices: Dict[str, Tuple[int, int]],
+                    n_packages: int) -> ColumnSource:
+    """The column source of a ``.rsnap``: one ``int.from_bytes`` per
+    row, straight off the buffer."""
+
+    def column(dimension: str) -> List[int]:
+        offset, row_bytes = mask_slices[dimension]
+        if row_bytes == 0:
+            return [0] * n_packages
+        from_bytes = int.from_bytes
+        return [from_bytes(data[start:start + row_bytes], "little")
+                for start in range(offset,
+                                   offset + n_packages * row_bytes,
+                                   row_bytes)]
+
+    return column
+
+
 def _dataset_from_buffer(data, header: SnapshotHeader,
                          popcon: Optional[PopularityContest],
                          repository: Optional[Repository],
@@ -303,8 +318,9 @@ def _dataset_from_buffer(data, header: SnapshotHeader,
     if repository is None:
         repository = _decode_repository(data, header)
     return SnapshotDataset(
-        packages=packages, space=space, buffer=data,
-        mask_slices=mask_slices, unresolved=unresolved,
+        packages=packages, space=space,
+        column=_mapped_columns(data, mask_slices, len(packages)),
+        unresolved=unresolved,
         popcon=popcon, repository=repository,
         source_fingerprint=header.fingerprint, resources=resources)
 

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.footprint import Footprint, PackageFootprint
 from repro.dataset import (
@@ -158,6 +160,45 @@ class TestDataset:
                 for api_id, pkg_ids in enumerate(users) if pkg_ids}
             assert rebuilt == {api: list(pkgs)
                                for api, pkgs in index.items()}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_users_index_matches_per_bit_reference(self, data):
+        # Universe sizes on and off byte boundaries; masks that are
+        # empty or carry the universe's top bit.
+        sizes = st.one_of(st.integers(0, 300),
+                          st.integers(0, 37).map(lambda k: 8 * k))
+
+        def masks_in(size):
+            if size == 0:
+                return st.just(0)
+            top = 1 << (size - 1)
+            return st.one_of(st.just(0), st.just(top),
+                             st.integers(0, (1 << size) - 1),
+                             st.integers(0, top - 1).map(
+                                 lambda mask: mask | top))
+
+        universe = {dim: data.draw(sizes, label=dim)
+                    for dim in ("syscall", "ioctl")}
+        names = {dim: [f"{dim}{i:03d}" for i in range(size)]
+                 for dim, size in universe.items()}
+        space = ApiSpace({dim: ApiInterner(dim_names)
+                          for dim, dim_names in names.items()})
+        rows = data.draw(st.lists(st.tuples(masks_in(universe["syscall"]),
+                                            masks_in(universe["ioctl"])),
+                                  max_size=12), label="rows")
+        footprints = {
+            f"pkg{i}": Footprint.build(
+                syscalls=space.names_of("syscall", syscall),
+                ioctls=space.names_of("ioctl", ioctl))
+            for i, (syscall, ioctl) in enumerate(rows)}
+        dataset = Dataset(footprints, space=space)
+        for dimension in ALL_DIMENSIONS:
+            expected = [[] for _ in range(space.size(dimension))]
+            for pkg_id, mask in enumerate(dataset.masks(dimension)):
+                for api_id in iter_bits(mask):
+                    expected[api_id].append(pkg_id)
+            assert dataset.users_index(dimension) == expected
 
     def test_importance_equals_reference(self):
         footprints, popcon, _ = _corpus()

@@ -6,17 +6,22 @@ indistinguishable from the eagerly evolved release k under every
 metric the serve layer exposes — importance, unweighted importance,
 weighted completeness, the completeness curve, and the advisor plan —
 and the materialized chain must re-encode to the original bytes.
+Replaying a release must also stay mask-backed: none of those
+metrics may build a source footprint on the way.
 
 Evolved trains are memoized per (seed, n_releases) so examples pay
 for metric comparisons, not for re-synthesis.
 """
 
+import contextlib
 import functools
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compat import coverage_plan
+from repro.dataset.interner import ApiInterner
 from repro.metrics import (completeness_curve, importance_table,
                            unweighted_importance_table,
                            weighted_completeness)
@@ -118,3 +123,50 @@ def test_release_fingerprints_are_stamped(case):
     _, _, series = train(seed, n_releases)
     dataset = series.at(release)
     assert dataset.source_fingerprint == series.fingerprints[release]
+
+
+@contextlib.contextmanager
+def names_of_calls():
+    """Record the mask of every ``ApiInterner.names_of`` call."""
+    names_of = ApiInterner.names_of
+    calls = []
+
+    def counting(interner, mask):
+        calls.append(mask)
+        return names_of(interner, mask)
+
+    with mock.patch.object(ApiInterner, "names_of", counting):
+        yield calls
+
+
+@settings(max_examples=15, deadline=None)
+@given(pick())
+def test_at_builds_no_footprints(case):
+    seed, n_releases, release = case
+    datasets, blob, _ = train(seed, n_releases)
+    eager = datasets[release]
+    table = importance_table(eager)
+    ranked = [api for api, _ in sorted(table.items(),
+                                       key=lambda kv: (-kv[1], kv[0]))]
+
+    def kernels(dataset):
+        importance_table(dataset)
+        unweighted_importance_table(dataset)
+        weighted_completeness(ranked[:20], dataset)
+        completeness_curve(dataset)
+        coverage_plan(ranked[:5], dataset)
+
+    series = load_series_bytes(blob)   # fresh: no release cached
+    with names_of_calls() as at_calls:
+        lazy = series.at(release)
+    with names_of_calls() as lazy_calls:
+        kernels(lazy)
+    with names_of_calls() as eager_calls:
+        kernels(eager)
+    assert at_calls == []
+    # coverage_plan names the APIs each workload covers; beyond those
+    # calls of its own, no kernel may name a package's masks.
+    assert lazy_calls == eager_calls
+    # The Mapping contract still holds once footprints are asked for.
+    assert dict(lazy) == dict(eager)
+    assert lazy.bitsets == eager.bitsets

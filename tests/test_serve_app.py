@@ -7,6 +7,7 @@ behavior is testable as a pure ``Request -> Response`` function.
 
 import dataclasses
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -260,6 +261,34 @@ class TestBackpressure:
         assert response.status == 504
         assert response.json_payload()["error"]["class"] == \
             "deadline"
+
+    def test_late_result_is_cached_so_the_retry_hits(self, holder):
+        app = ServeApp(holder, concurrency=2, max_wait_seconds=0.0,
+                       deadline_seconds=0.05)
+        route = app._routes["/v1/importance"]["GET"]
+        calls = []
+
+        def slow(dataset, params):
+            calls.append((dataset, params))
+            time.sleep(0.2)
+            return route.payload(dataset, params)
+
+        app._routes["/v1/importance"]["GET"] = dataclasses.replace(
+            route, payload=slow)
+        first = get(app, "/v1/importance", limit=5)
+        assert first.status == 504
+        assert first.json_payload()["error"]["class"] == "deadline"
+        retry = get(app, "/v1/importance", limit=5)
+        assert retry.status == 200
+        assert retry.json_payload()["cached"] is True
+        assert len(calls) == 1
+        dataset, params = calls[0]
+        library = canonical_json(route.payload(dataset, params))
+        assert retry.body.startswith(
+            b'{"cached":true,"data":' + library + b",")
+        assert app.admission.stats()["in_flight"] == 0
+        with app.admission.slot(), app.admission.slot():
+            pass  # both slots are free again
 
     def test_probes_bypass_admission(self, holder):
         app = ServeApp(holder, concurrency=1,

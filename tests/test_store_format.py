@@ -25,11 +25,13 @@ from repro.dataset import (Dataset, DatasetCodecError,
 from repro.engine import AnalysisCache
 from repro.engine.errors import classify_exception
 from repro.store import (MAGIC, STORE_VERSION, SnapshotDataset,
-                         StoreCRCError, StoreError, StoreMagicError,
-                         StoreTruncatedError, StoreVersionError,
-                         load_snapshot, load_snapshot_bytes,
-                         sniff_format, snapshot_info,
-                         snapshot_to_bytes, write_snapshot)
+                         StoreCRCError, StoreError, StoreLayoutError,
+                         StoreMagicError, StoreTruncatedError,
+                         StoreVersionError, load_snapshot,
+                         load_snapshot_bytes, sniff_format,
+                         snapshot_info, snapshot_to_bytes,
+                         write_snapshot)
+from repro.store.format import Cursor, pack_str, pack_str_list
 from repro.synth import PaperScaleConfig, build_paper_corpus
 
 
@@ -225,3 +227,44 @@ class TestErrorContract:
         assert MAGIC[0] == 0x89
         assert MAGIC.endswith(b"\r\n")
         assert sniff_format(b"{") == "json"
+
+
+@pytest.fixture(params=[bytes, memoryview], ids=["bytes", "memoryview"])
+def section(request):
+    """Wrap raw section bytes the way a reader may see them: a plain
+    buffer or a zero-copy view into a mapped file."""
+    return lambda raw: Cursor(request.param(raw), "TEST")
+
+
+class TestCursor:
+    def layout_error(self, read):
+        with pytest.raises(StoreLayoutError) as caught:
+            read()
+        return str(caught.value)
+
+    def test_section_ends_inside_a_length(self, section):
+        assert self.layout_error(section(b"\x05").string) == \
+            "section TEST: read past end (2 > 1)"
+
+    def test_length_runs_past_the_end(self, section):
+        assert self.layout_error(section(b"\x05\x00ab").string) == \
+            "section TEST: read past end (7 > 4)"
+
+    def test_invalid_utf8(self, section):
+        assert self.layout_error(section(b"\x02\x00a\xff").string) == (
+            "section TEST: bad utf-8 ('utf-8' codec can't decode byte "
+            "0xff in position 1: invalid start byte)")
+
+    def test_list_count_larger_than_the_section(self, section):
+        raw = b"\x09\x00\x00\x00" + pack_str("a")
+        assert self.layout_error(section(raw).string_list) == \
+            "section TEST: impossible count 9"
+
+    def test_empty_and_longest_strings_decode(self, section):
+        longest = "é" + "x" * 0xFFFD   # 65,535 utf-8 bytes
+        cursor = section(pack_str("") + pack_str(longest)
+                         + pack_str_list(["ab", ""]))
+        assert cursor.string() == ""
+        assert cursor.string() == longest
+        assert cursor.string_list() == ["ab", ""]
+        assert cursor.exhausted()
