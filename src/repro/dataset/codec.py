@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..analysis.footprint import Footprint
 from ..packages.popcon import PopularityContest
 from ..packages.repository import Repository
 from .bitset import BitsetFootprint
-from .core import ApiSpace, Dataset
+from .core import ApiSpace, Dataset, row_columns
 from .dimensions import DIMENSION_ORDER, FOOTPRINT_FIELDS
 from .interner import ApiInterner
 
@@ -66,30 +67,26 @@ def dataset_from_dict(payload: Dict[str, Any],
             f"!= {DATASET_CODEC_VERSION!r}")
     try:
         interners = payload["interners"]
-        packages = payload["packages"]
+        packages = tuple(payload["packages"])
         mask_rows = payload["masks"]
-        unresolved = payload.get("unresolved_sites",
-                                 [0] * len(packages))
+        unresolved = tuple(int(sites) for sites in payload.get(
+            "unresolved_sites", [0] * len(packages)))
         space = ApiSpace({
             dim: ApiInterner(interners.get(dim, ()))
             for dim in DIMENSION_ORDER})
-        bitsets = [BitsetFootprint(int(mask, 16) for mask in row)
-                   for row in mask_rows]
+        # BitsetFootprint checks each row's width.
+        rows = [BitsetFootprint(int(mask, 16) for mask in row).masks
+                for row in mask_rows]
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetCodecError(f"dataset: malformed payload "
                                 f"({exc})") from None
-    if not (len(packages) == len(bitsets) == len(unresolved)):
+    if not (len(packages) == len(rows) == len(unresolved)):
         raise DatasetCodecError("dataset: package/mask row mismatch")
-    footprints: Dict[str, Footprint] = {}
-    for name, bits, sites in zip(packages, bitsets, unresolved):
-        fields = {
-            FOOTPRINT_FIELDS[dim]: frozenset(
-                space.interner(dim).names_of(bits.mask(dim)))
-            for dim in DIMENSION_ORDER}
-        footprints[name] = Footprint(unresolved_sites=int(sites),
-                                     **fields)
-    return Dataset(footprints, popcon=popcon, repository=repository,
-                   space=space, bitsets=bitsets)
+    if len(set(packages)) != len(packages):
+        raise DatasetCodecError("dataset: duplicate package names")
+    return Dataset.from_columns(
+        packages, space, partial(row_columns, rows), unresolved,
+        popcon, repository, source_fingerprint=None)
 
 
 def dataset_to_json(dataset: Dataset) -> str:

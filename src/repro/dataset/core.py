@@ -8,6 +8,15 @@ assigns the ids), popcon probabilities are materialized into a weight
 vector aligned with package ids, and the SCC-condensed dependency DAG
 is built once per (dimension, universe) and cached.
 
+One class holds this state for every source.  Per-package masks come
+from a column source, read one dimension at a time on first use: the
+constructor's source reads the interned rows it was given
+(:func:`row_columns`), a ``.rsnap`` file's source slices rows off the
+mmap, and a series release's reads its decoded delta rows
+(:meth:`Dataset.from_columns`).  Footprints are built from the masks
+on first access and memoized; an in-memory dataset prefills the memo
+with the caller's objects.
+
 Compatibility contract: a :class:`Dataset` is itself a
 ``Mapping[str, Footprint]`` over the *source* footprints, so every
 legacy signature that takes a footprint mapping accepts one unchanged.
@@ -20,10 +29,12 @@ floating-point results bit-for-bit identical (see
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
-from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Tuple, Union)
+from functools import partial
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple, Union)
 
 from ..analysis.footprint import Footprint
 from ..packages.popcon import PopularityContest
@@ -191,6 +202,22 @@ class DatasetStats:
     n_alternative_groups: int = 0   # dependency groups with >1 alternative
 
 
+#: dimension -> that dimension's per-package masks, in package order.
+ColumnSource = Callable[[str], List[int]]
+
+
+def row_columns(rows: Sequence[Tuple[int, ...]],
+                dimension: str) -> List[int]:
+    """The in-memory column source: ``dimension``'s masks read out of
+    per-package mask rows (one mask per dimension, package order).
+
+    Bind the rows with :func:`functools.partial`, which keeps the
+    source picklable, unlike a closure.
+    """
+    index = DIMENSION_INDEX[dimension]
+    return [row[index] for row in rows]
+
+
 class Dataset(MappingABC):
     """Interned package footprints + popcon weights + dependency DAG.
 
@@ -198,6 +225,11 @@ class Dataset(MappingABC):
     footprints, so it can be passed wherever a footprint mapping is
     expected.  Package ids are positions in the *input mapping order*
     (never re-sorted — see the module docstring).
+
+    The constructor interns source footprints and prefills the
+    footprint memo with them; :meth:`from_columns` starts from a
+    :data:`ColumnSource` alone (``.rsnap``, series releases, the JSON
+    codec).
     """
 
     def __init__(self, footprints: Mapping[str, Footprint],
@@ -206,24 +238,65 @@ class Dataset(MappingABC):
                  space: Optional[ApiSpace] = None,
                  bitsets: Optional[Iterable[BitsetFootprint]] = None,
                  ) -> None:
-        self._footprints: Dict[str, Footprint] = dict(footprints)
-        self.packages: Tuple[str, ...] = tuple(self._footprints)
-        self.package_index: Dict[str, int] = {
-            name: i for i, name in enumerate(self.packages)}
+        memo: Dict[str, Footprint] = dict(footprints)
         if space is None:
-            space = ApiSpace.from_footprints(self._footprints.values())
-        self.space = space
+            space = ApiSpace.from_footprints(memo.values())
         if bitsets is None:
-            self.bitsets: List[BitsetFootprint] = [
-                space.intern(fp) for fp in self._footprints.values()]
+            bitsets = [space.intern(fp) for fp in memo.values()]
         else:
-            self.bitsets = list(bitsets)
-            if len(self.bitsets) != len(self.packages):
+            bitsets = list(bitsets)
+            if len(bitsets) != len(memo):
                 raise ValueError("bitsets do not match packages")
+        self._bind(tuple(memo), space,
+                   partial(row_columns, [bits.masks for bits in bitsets]),
+                   tuple(fp.unresolved_sites for fp in memo.values()),
+                   popcon, repository, None, ())
+        self._footprints = memo
+        self._bitsets = bitsets
+
+    @classmethod
+    def from_columns(cls, packages: Tuple[str, ...], space: ApiSpace,
+                     column: ColumnSource,
+                     unresolved: Tuple[int, ...],
+                     popcon: Optional[PopularityContest],
+                     repository: Optional[Repository],
+                     source_fingerprint: Optional[str],
+                     resources: Tuple = ()) -> "Dataset":
+        """A dataset over mask columns; nothing per package is built.
+
+        ``packages`` must be distinct.  ``resources`` (an mmap and its
+        file) stay referenced as long as the dataset is.
+        """
+        dataset = cls.__new__(cls)
+        dataset._bind(tuple(packages), space, column, unresolved,
+                      popcon, repository, source_fingerprint, resources)
+        return dataset
+
+    def _bind(self, packages: Tuple[str, ...], space: ApiSpace,
+              column: ColumnSource, unresolved: Tuple[int, ...],
+              popcon: Optional[PopularityContest],
+              repository: Optional[Repository],
+              source_fingerprint: Optional[str],
+              resources: Tuple) -> None:
+        self.packages = packages
+        self.package_index: Dict[str, int] = {
+            name: i for i, name in enumerate(packages)}
+        self.space = space
         self.popcon = popcon
         self.repository = repository
-        # Lazy caches.  All are pure functions of the fields above, so
-        # sharing them across rebound copies is safe.
+        #: The content address recorded in the file the dataset was
+        #: read from (``None`` when built in memory): what
+        #: ``footprints_fingerprint`` would compute, without touching
+        #: a single footprint.
+        self.source_fingerprint = source_fingerprint
+        self._column = column
+        self._unresolved = unresolved
+        # Keeps the mmap/file objects alive as long as the dataset is.
+        self._resources = resources
+        self._footprints: Dict[str, Footprint] = {}   # lazy memo
+        self._bitsets: Optional[List[BitsetFootprint]] = None
+        # Lazy caches.  All are pure functions of the fields above;
+        # rebound copies share every one their change leaves valid.
         self._weights: Optional[Tuple[float, ...]] = None
         self._weight_by_name: Optional[Dict[str, float]] = None
         self._masks: Dict[str, List[int]] = {}
@@ -238,13 +311,27 @@ class Dataset(MappingABC):
     # --- Mapping[str, Footprint] protocol -------------------------------
 
     def __getitem__(self, package: str) -> Footprint:
-        return self._footprints[package]
+        # One dict lookup on a hit: full passes (fingerprinting, the
+        # writer's UNRS section) run this 30k times.
+        try:
+            return self._footprints[package]
+        except KeyError:
+            pass
+        index = self.package_index[package]   # KeyError = Mapping
+        fields = {
+            FOOTPRINT_FIELDS[dim]: frozenset(
+                self.space.interner(dim).names_of(self.masks(dim)[index]))
+            for dim in DIMENSION_ORDER}
+        footprint = Footprint(unresolved_sites=self._unresolved[index],
+                              **fields)
+        self._footprints[package] = footprint
+        return footprint
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._footprints)
+        return iter(self.packages)
 
     def __len__(self) -> int:
-        return len(self._footprints)
+        return len(self.packages)
 
     def __repr__(self) -> str:
         return (f"Dataset({len(self.packages)} packages, {self.space!r}, "
@@ -281,13 +368,26 @@ class Dataset(MappingABC):
         cached = self._masks.get(dimension)
         if cached is None:
             if dimension == "all":
-                all_mask = self.space.all_mask
-                cached = [all_mask(bits) for bits in self.bitsets]
+                offsets = self.space.offsets
+                cached = [0] * len(self.packages)
+                for dim in DIMENSION_ORDER:
+                    shift = offsets[dim]
+                    for i, mask in enumerate(self.masks(dim)):
+                        if mask:
+                            cached[i] |= mask << shift
             else:
-                index = DIMENSION_INDEX[dimension]
-                cached = [bits.masks[index] for bits in self.bitsets]
+                cached = self._column(dimension)
             self._masks[dimension] = cached
         return cached
+
+    @property
+    def bitsets(self) -> List[BitsetFootprint]:
+        """The interned rows as objects, package order (do not mutate)."""
+        if self._bitsets is None:
+            columns = [self.masks(dim) for dim in DIMENSION_ORDER]
+            self._bitsets = [BitsetFootprint(row)
+                             for row in zip(*columns)]
+        return self._bitsets
 
     def bit_counts(self, dimension: str) -> List[int]:
         """Per-package API count in ``dimension`` (do not mutate)."""
@@ -436,28 +536,18 @@ class Dataset(MappingABC):
 
     def rebound(self, popcon: Optional[PopularityContest],
                 repository: Optional[Repository]) -> "Dataset":
-        """A Dataset over the same footprints with different popcon /
-        repository, sharing every cache the change does not invalidate."""
-        clone: Dataset = Dataset.__new__(Dataset)
-        clone._footprints = self._footprints
-        clone.packages = self.packages
-        clone.package_index = self.package_index
-        clone.space = self.space
-        clone.bitsets = self.bitsets
+        """A shallow copy with different popcon / repository: it shares
+        the column source, the footprint memo and every cache the
+        change does not invalidate."""
+        clone = copy.copy(self)
         clone.popcon = popcon
         clone.repository = repository
-        clone._masks = self._masks
-        clone._bit_counts = self._bit_counts
-        clone._universe_ids = self._universe_ids
-        clone._users = self._users
-        clone._usage = self._usage
-        same_popcon = popcon is self.popcon
-        clone._weights = self._weights if same_popcon else None
-        clone._weight_by_name = (self._weight_by_name if same_popcon
-                                 else None)
-        clone._importance = self._importance if same_popcon else {}
-        clone._graphs = (self._graphs
-                         if repository is self.repository else {})
+        if popcon is not self.popcon:
+            clone._weights = None
+            clone._weight_by_name = None
+            clone._importance = {}
+        if repository is not self.repository:
+            clone._graphs = {}
         return clone
 
     # --- stats ----------------------------------------------------------

@@ -36,15 +36,8 @@ def series_fingerprint_of(fingerprints: Sequence[str]) -> str:
     return digest.hexdigest()
 
 
-def _release_fingerprint(dataset: Dataset) -> str:
-    fingerprint = getattr(dataset, "source_fingerprint", None)
-    if fingerprint is None:
-        fingerprint = footprints_fingerprint(dataset)
-    return fingerprint
-
-
-def _canonical_releases(releases: Sequence) -> List[Dataset]:
-    """Adapt inputs to Datasets sharing one interned space.
+def _canonical_releases(datasets: List[Dataset]) -> List[Dataset]:
+    """Datasets sharing one interned space.
 
     Datasets that already share a space (the :mod:`repro.synth.evolve`
     output, or a series' own materialized releases) pass through with
@@ -52,36 +45,32 @@ def _canonical_releases(releases: Sequence) -> List[Dataset]:
     union of every release's APIs.  Either way the result satisfies
     :func:`repro.series.format.delta_between`'s preconditions.
     """
-    if not releases:
-        raise ValueError("a series needs at least one release")
-    if len(releases) > MAX_RELEASES:
-        raise ValueError(
-            f"a series holds at most {MAX_RELEASES} releases")
-    datasets = [as_dataset(release) for release in releases]
     first_space = datasets[0].space
     if all(dataset.space == first_space for dataset in datasets[1:]):
         return datasets
     union = ApiSpace.from_footprints(itertools.chain.from_iterable(
         (dataset[name] for name in dataset.packages)
         for dataset in datasets))
-    rebuilt = []
-    for dataset in datasets:
-        clone = Dataset(
-            {name: dataset[name] for name in dataset.packages},
-            popcon=dataset.popcon, repository=dataset.repository,
-            space=union)
-        fingerprint = getattr(dataset, "source_fingerprint", None)
-        if fingerprint is not None:
-            clone.source_fingerprint = fingerprint
-        rebuilt.append(clone)
-    return rebuilt
+    return [Dataset({name: dataset[name] for name in dataset.packages},
+                    popcon=dataset.popcon,
+                    repository=dataset.repository, space=union)
+            for dataset in datasets]
 
 
 def series_to_bytes(releases: Sequence) -> bytes:
     """Encode a release train as one complete ``.rser`` file image."""
-    datasets = _canonical_releases(releases)
-    fingerprints = [_release_fingerprint(dataset)
+    if not releases:
+        raise ValueError("a series needs at least one release")
+    if len(releases) > MAX_RELEASES:
+        raise ValueError(
+            f"a series holds at most {MAX_RELEASES} releases")
+    datasets = [as_dataset(release) for release in releases]
+    # Taken before re-interning: a release read from a file keeps the
+    # fingerprint it was written with.
+    fingerprints = [dataset.source_fingerprint
+                    or footprints_fingerprint(dataset)
                     for dataset in datasets]
+    datasets = _canonical_releases(datasets)
     meta = {
         "n_releases": len(datasets),
         "fingerprints": fingerprints,

@@ -9,8 +9,10 @@ releases are cached so trend queries that sweep release ranges pay for
 each release once.
 
 A replayed release is the same mask-backed
-:class:`repro.store.SnapshotDataset` a ``.rsnap`` opens to, with the
-release's decoded mask rows as its column source: a dimension's mask
+:class:`repro.dataset.Dataset` a ``.rsnap`` opens to, built by
+:meth:`Dataset.from_columns <repro.dataset.Dataset.from_columns>` with
+the release's decoded mask rows as its column source
+(:func:`repro.dataset.core.row_columns`): a dimension's mask
 column is read out of the rows on the first query over it, and a
 package's :class:`repro.analysis.footprint.Footprint` is built only on
 ``dataset[name]``.  So ``at(k)`` costs the delta walk plus the
@@ -24,22 +26,19 @@ object is left exactly as it was.
 
 from __future__ import annotations
 
-import io
 import json
-import mmap
 import pathlib
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from ..dataset.bitset import DIMENSION_INDEX
-from ..dataset.core import Dataset
+from ..dataset.core import Dataset, row_columns
 from ..dataset.dimensions import DIMENSION_ORDER
 from ..packages.package import Package
 from ..packages.popcon import PopularityContest
 from ..packages.repository import Repository
-from ..store.errors import StoreLayoutError, StoreTruncatedError
-from ..store.format import SnapshotHeader, decode_header
-from ..store.reader import (ColumnSource, SnapshotDataset,
-                            load_snapshot_bytes)
+from ..store.errors import StoreLayoutError
+from ..store.format import SnapshotHeader, decode_header, map_file
+from ..store.reader import load_snapshot_bytes
 from .format import (MAX_RELEASES, SERIES, SERIES_MAGIC, ReleaseDelta,
                      decode_delta, delta_tag)
 
@@ -52,18 +51,6 @@ def sniff_series(head: bytes) -> bool:
 #: name -> (unresolved_sites, one mask per dimension); insertion order
 #: is the release's canonical package order.
 _Rows = Dict[str, Tuple[int, Tuple[int, ...]]]
-
-
-def _row_columns(rows: _Rows) -> ColumnSource:
-    """The column source of a replayed release: one dimension's masks,
-    read out of the release's rows when first asked for."""
-    mask_rows = [masks for _, masks in rows.values()]
-
-    def column(dimension: str) -> List[int]:
-        index = DIMENSION_INDEX[dimension]
-        return [masks[index] for masks in mask_rows]
-
-    return column
 
 
 class _ReleaseState:
@@ -85,7 +72,6 @@ class DatasetSeries:
     """A validated multi-release series with lazy time travel.
 
     ``at(k)`` returns release ``k`` as a mask-backed
-    :class:`repro.store.SnapshotDataset` — a real
     :class:`repro.dataset.Dataset` with bit-identical metric results to
     an eager rebuild of that release — materializing (and caching) only
     the releases actually touched.
@@ -266,7 +252,7 @@ class DatasetSeries:
         """Materialize release ``release`` (cached per release).
 
         Release 0 is the embedded base snapshot; a later release is a
-        :class:`repro.store.SnapshotDataset` over the rows its delta
+        mask-backed :class:`repro.dataset.Dataset` over the rows its delta
         chain leaves, with its popcon and repository built (and
         checked) before it is published.  No footprint is built here.
         """
@@ -308,10 +294,12 @@ class DatasetSeries:
                 except ValueError as exc:
                     raise StoreLayoutError(
                         f"release {release} deps: {exc}") from None
-            dataset = SnapshotDataset(
+            dataset = Dataset.from_columns(
                 packages=tuple(state.rows),
                 space=self._base_dataset().space,
-                column=_row_columns(state.rows),
+                column=partial(row_columns,
+                               [masks for _, masks in
+                                state.rows.values()]),
                 unresolved=tuple(row[0] for row in state.rows.values()),
                 popcon=popcon, repository=repository,
                 source_fingerprint=self.fingerprints[release])
@@ -417,26 +405,12 @@ def load_series(path) -> DatasetSeries:
     Falls back to a plain read where mapping is unsupported, exactly
     like :func:`repro.store.load_snapshot`.
     """
-    target = pathlib.Path(path)
-    handle = open(target, "rb")
+    data, resources = map_file(path)
     try:
-        size = target.stat().st_size
-        if size == 0:
-            raise StoreTruncatedError(f"{target} is empty")
-        try:
-            mapped = mmap.mmap(handle.fileno(), 0,
-                               access=mmap.ACCESS_READ)
-        except (OSError, ValueError, io.UnsupportedOperation):
-            data = handle.read()
-            return load_series_bytes(data)
+        return load_series_bytes(data, resources)
     except BaseException:
-        handle.close()
-        raise
-    try:
-        return load_series_bytes(mapped, resources=(mapped, handle))
-    except BaseException:
-        mapped.close()
-        handle.close()
+        for resource in resources:
+            resource.close()
         raise
 
 

@@ -2,12 +2,13 @@
 
 The JSON codec (:mod:`repro.dataset.codec`) is the portable
 interchange format, but its cold path is O(corpus): every load parses
-text, converts hex masks, and builds one frozenset per package per
-dimension before the first query can run.  This package adds a
+the text and converts every hex mask row before the first query can
+run.  This package adds a
 versioned, struct-packed binary format — ``.rsnap`` — whose cold open
 is O(header + name tables): the file is mmap'd, integrity-checked with
 two CRCs, and everything per-package stays raw bytes until a query
-touches it (:class:`repro.store.SnapshotDataset`).
+touches it: the loaded :class:`repro.dataset.Dataset` reads its mask
+columns straight off the map.
 
 Contract with the JSON codec:
 
@@ -28,14 +29,13 @@ from .errors import (StoreCRCError, StoreError, StoreLayoutError,
                      StoreMagicError, StoreTruncatedError,
                      StoreVersionError)
 from .format import MAGIC, STORE_VERSION, decode_header
-from .reader import (SnapshotDataset, load_snapshot,
-                     load_snapshot_bytes, sniff_format, snapshot_info)
+from .reader import (load_snapshot, load_snapshot_bytes, sniff_format,
+                     snapshot_info)
 from .writer import snapshot_to_bytes, write_snapshot
 
 __all__ = [
     "MAGIC",
     "STORE_VERSION",
-    "SnapshotDataset",
     "StoreCRCError",
     "StoreError",
     "StoreLayoutError",

@@ -51,6 +51,9 @@ The header, section table and integrity ladder are a container that
 
 from __future__ import annotations
 
+import io
+import mmap
+import pathlib
 import struct
 import zlib
 from dataclasses import dataclass
@@ -106,6 +109,27 @@ SNAPSHOT = Container(
 
 def crc32(data) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
+
+
+def map_file(path) -> Tuple[object, Tuple]:
+    """``(buffer, resources)`` for a container file at ``path``.
+
+    The buffer is a read-only mmap (it holds its own descriptor, so
+    the file handle is closed here) and ``resources`` holds it: keep
+    them referenced as long as the buffer is in use, and close them if
+    loading fails.  Where mapping is unsupported the bytes are read
+    onto the heap and ``resources`` is empty.
+    """
+    target = pathlib.Path(path)
+    with open(target, "rb") as handle:
+        if target.stat().st_size == 0:
+            raise StoreTruncatedError(f"{target} is empty")
+        try:
+            mapped = mmap.mmap(handle.fileno(), 0,
+                               access=mmap.ACCESS_READ)
+        except (OSError, ValueError, io.UnsupportedOperation):
+            return handle.read(), ()
+    return mapped, (mapped,)
 
 
 def mask_row_bytes(universe_size: int) -> int:

@@ -15,154 +15,35 @@ name→id resolution.  Everything per-package stays bytes until touched:
 * ``bitsets`` (the interned rows as objects) materialize only for
   code that iterates them — the mask columns above never do.
 
-A :class:`SnapshotDataset` is a real :class:`repro.dataset.Dataset`:
-same Mapping contract, same lazy caches, bit-identical metric results
+The loaded dataset is a plain :class:`repro.dataset.Dataset`, built
+with :meth:`Dataset.from_columns <repro.dataset.Dataset.from_columns>`
+over a column source that slices rows off the map: same class as an
+in-memory or series-release dataset, bit-identical metric results
 (``tests/test_store_roundtrip.py`` pins all three paths — eager JSON,
 mmap-lazy, and the legacy reference implementations — to equality).
-It takes its mask columns from one column-source callable, so the
-same class also serves a series release: :meth:`DatasetSeries.at
-<repro.series.DatasetSeries.at>` hands it a source that reads the
-release's decoded mask rows instead of the map.
+A ``rebound`` copy shares the column source, so it keeps the map too.
 """
 
 from __future__ import annotations
 
-import io
 import json
-import mmap
 import pathlib
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..analysis.footprint import Footprint
-from ..dataset.bitset import BitsetFootprint
-from ..dataset.core import ApiSpace, Dataset
-from ..dataset.dimensions import DIMENSION_ORDER, FOOTPRINT_FIELDS
+from ..dataset.core import ApiSpace, ColumnSource, Dataset
+from ..dataset.dimensions import DIMENSION_ORDER
 from ..dataset.interner import ApiInterner
 from ..packages.package import Package
 from ..packages.popcon import PopularityContest
 from ..packages.repository import Repository
 from .errors import StoreLayoutError
 from .format import (MAGIC, Cursor, SnapshotHeader, decode_header,
-                     mask_row_bytes)
+                     map_file, mask_row_bytes)
 
 
 def sniff_format(head: bytes) -> str:
     """``"rsnap"`` or ``"json"`` from a file's first bytes."""
     return "rsnap" if bytes(head[:len(MAGIC)]) == MAGIC else "json"
-
-
-#: dimension -> that dimension's per-package masks, in package order.
-ColumnSource = Callable[[str], List[int]]
-
-
-class SnapshotDataset(Dataset):
-    """A :class:`Dataset` whose per-package state stays in mask columns.
-
-    Construction takes only names and a :data:`ColumnSource`; masks,
-    bitsets, and source footprints materialize per dimension / per
-    package on first touch and are memoized in the same caches the
-    eager class uses, so a warmed-up ``SnapshotDataset`` is
-    indistinguishable from an eager one.  ``rebound`` (and therefore
-    :func:`repro.dataset.as_dataset`) materializes everything first —
-    the clone is a plain eager :class:`Dataset` with no tie to the
-    column source.
-    """
-
-    def __init__(self, packages: Tuple[str, ...], space: ApiSpace,
-                 column: ColumnSource,
-                 unresolved: Tuple[int, ...],
-                 popcon: Optional[PopularityContest],
-                 repository: Optional[Repository],
-                 source_fingerprint: str,
-                 resources: Tuple = ()) -> None:
-        # Deliberately no super().__init__: the whole point is to skip
-        # the eager footprint/bitset construction it performs.
-        self._footprints: Dict[str, Footprint] = {}   # lazy memo
-        self.packages = tuple(packages)
-        self.package_index = {name: i
-                              for i, name in enumerate(self.packages)}
-        self.space = space
-        self.popcon = popcon
-        self.repository = repository
-        #: The fingerprint recorded in the snapshot header — the same
-        #: content address a fresh ``footprints_fingerprint`` run would
-        #: produce, available without touching a single footprint.
-        self.source_fingerprint = source_fingerprint
-        self._column = column
-        self._unresolved = unresolved
-        self._bitsets: Optional[List[BitsetFootprint]] = None
-        # Keeps the mmap/file objects alive as long as the dataset is.
-        self._resources = resources
-        # Same lazy caches as Dataset.__init__.
-        self._weights = None
-        self._weight_by_name = None
-        self._masks: Dict[str, List[int]] = {}
-        self._bit_counts: Dict[str, List[int]] = {}
-        self._universe_ids: Dict[Tuple[str, bool], List[int]] = {}
-        self._users: Dict[str, List[List[int]]] = {}
-        self._importance: Dict[str, Dict[str, float]] = {}
-        self._usage: Dict[Tuple[str, bool], Dict[str, float]] = {}
-        self._graphs: Dict[Tuple[str, bool, bool], object] = {}
-
-    # --- lazy materialization -------------------------------------------
-
-    def masks(self, dimension: str) -> List[int]:
-        cached = self._masks.get(dimension)
-        if cached is None:
-            if dimension == "all":
-                offsets = self.space.offsets
-                columns = [(self.masks(dim), offsets[dim])
-                           for dim in DIMENSION_ORDER]
-                cached = [0] * len(self.packages)
-                for column, shift in columns:
-                    for i, mask in enumerate(column):
-                        if mask:
-                            cached[i] |= mask << shift
-            else:
-                cached = self._column(dimension)
-            self._masks[dimension] = cached
-        return cached
-
-    @property
-    def bitsets(self) -> List[BitsetFootprint]:
-        if self._bitsets is None:
-            columns = [self.masks(dim) for dim in DIMENSION_ORDER]
-            self._bitsets = [BitsetFootprint(row)
-                             for row in zip(*columns)]
-        return self._bitsets
-
-    def __getitem__(self, package: str) -> Footprint:
-        footprint = self._footprints.get(package)
-        if footprint is None:
-            index = self.package_index[package]   # KeyError = Mapping
-            fields = {
-                FOOTPRINT_FIELDS[dim]: frozenset(
-                    self.space.interner(dim).names_of(
-                        self.masks(dim)[index]))
-                for dim in DIMENSION_ORDER}
-            footprint = Footprint(
-                unresolved_sites=self._unresolved[index], **fields)
-            self._footprints[package] = footprint
-        return footprint
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.packages)
-
-    def __len__(self) -> int:
-        return len(self.packages)
-
-    def rebound(self, popcon, repository) -> Dataset:
-        # The base implementation hands our caches to a plain Dataset
-        # clone; materialize them first so the clone is complete.
-        for name in self.packages:
-            self[name]
-        _ = self.bitsets
-        return super().rebound(popcon, repository)
-
-    def __repr__(self) -> str:
-        loaded = sorted(dim for dim in self._masks if dim != "all")
-        return (f"SnapshotDataset({len(self.packages)} packages, "
-                f"{self.space!r}, materialized={loaded or 'none'})")
 
 
 # --- section decoders ----------------------------------------------------
@@ -269,7 +150,7 @@ def _mapped_columns(data, mask_slices: Dict[str, Tuple[int, int]],
 def _dataset_from_buffer(data, header: SnapshotHeader,
                          popcon: Optional[PopularityContest],
                          repository: Optional[Repository],
-                         resources: Tuple) -> SnapshotDataset:
+                         resources: Tuple) -> Dataset:
     meta = _decode_meta(data, header)
     packages = tuple(_section_cursor(data, header,
                                      b"PKGS").string_list())
@@ -317,7 +198,7 @@ def _dataset_from_buffer(data, header: SnapshotHeader,
         popcon = _decode_popcon(data, header)
     if repository is None:
         repository = _decode_repository(data, header)
-    return SnapshotDataset(
+    return Dataset.from_columns(
         packages=packages, space=space,
         column=_mapped_columns(data, mask_slices, len(packages)),
         unresolved=unresolved,
@@ -330,7 +211,7 @@ def _dataset_from_buffer(data, header: SnapshotHeader,
 def load_snapshot_bytes(data,
                         popcon: Optional[PopularityContest] = None,
                         repository: Optional[Repository] = None,
-                        resources: Tuple = ()) -> SnapshotDataset:
+                        resources: Tuple = ()) -> Dataset:
     """Load a snapshot from an in-memory buffer (bytes or mmap).
 
     Explicit ``popcon`` / ``repository`` override the embedded POPC /
@@ -345,7 +226,7 @@ def load_snapshot_bytes(data,
 def load_snapshot(path,
                   popcon: Optional[PopularityContest] = None,
                   repository: Optional[Repository] = None,
-                  ) -> SnapshotDataset:
+                  ) -> Dataset:
     """mmap ``path`` read-only and load it lazily.
 
     The map (and file handle) stay referenced by the returned dataset
@@ -353,28 +234,12 @@ def load_snapshot(path,
     plain read for filesystems that cannot map (still lazy — the
     buffer just lives on the heap).
     """
-    from .errors import StoreTruncatedError
-    target = pathlib.Path(path)
-    handle = open(target, "rb")
+    data, resources = map_file(path)
     try:
-        size = target.stat().st_size
-        if size == 0:
-            raise StoreTruncatedError(f"{target} is empty")
-        try:
-            mapped = mmap.mmap(handle.fileno(), 0,
-                               access=mmap.ACCESS_READ)
-        except (OSError, ValueError, io.UnsupportedOperation):
-            data = handle.read()
-            return load_snapshot_bytes(data, popcon, repository)
+        return load_snapshot_bytes(data, popcon, repository, resources)
     except BaseException:
-        handle.close()
-        raise
-    try:
-        return load_snapshot_bytes(mapped, popcon, repository,
-                                   resources=(mapped, handle))
-    except BaseException:
-        mapped.close()
-        handle.close()
+        for resource in resources:
+            resource.close()
         raise
 
 

@@ -113,7 +113,7 @@ def snapshot_to_bytes(dataset: Dataset,
     rehashing the corpus.
     """
     if fingerprint is None:
-        fingerprint = getattr(dataset, "source_fingerprint", None)
+        fingerprint = dataset.source_fingerprint
     if fingerprint is None:
         fingerprint = footprints_fingerprint(dataset)
     sections: List[Tuple[bytes, bytes]] = [

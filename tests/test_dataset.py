@@ -1,6 +1,7 @@
 """Unit tests for the interned, bitset-backed dataset substrate."""
 
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -320,6 +321,13 @@ class TestCodec:
         with pytest.raises(DatasetCodecError):
             dataset_from_json("{not json")
 
+    def test_duplicate_names_rejected(self):
+        footprints, _, _ = _corpus()
+        payload = json.loads(dataset_to_json(Dataset(footprints)))
+        payload["packages"][1] = payload["packages"][0]
+        with pytest.raises(DatasetCodecError, match="duplicate"):
+            dataset_from_json(json.dumps(payload))
+
     def test_fingerprint_insertion_order_invariant(self):
         footprints, _, _ = _corpus()
         shuffled = dict(reversed(list(footprints.items())))
@@ -398,6 +406,32 @@ class TestFootprintFastPaths:
         merged = base.merged_with(Footprint.EMPTY)
         assert merged.per_executable is not base.per_executable
         assert merged.per_executable == base.per_executable
+
+
+class TestPickle:
+    """In-memory datasets, and the corpora that hold them, pickle
+    together with their column source."""
+
+    @staticmethod
+    def assert_same(copy, dataset):
+        assert dict(copy) == dict(dataset)
+        assert copy.bitsets == dataset.bitsets
+        for dimension in ALL_DIMENSIONS:
+            assert copy.importance_table(dimension) == \
+                dataset.importance_table(dimension)
+
+    def test_in_memory_dataset(self):
+        footprints, popcon, repository = _corpus()
+        dataset = Dataset(footprints, popcon, repository)
+        dataset.importance_table("syscall")   # warm caches pickle too
+        self.assert_same(pickle.loads(pickle.dumps(dataset)), dataset)
+
+    def test_paper_corpus(self):
+        from repro.synth import PaperScaleConfig, build_paper_corpus
+        corpus = build_paper_corpus(PaperScaleConfig.tiny())
+        corpus.dataset.importance_table("syscall")
+        copy = pickle.loads(pickle.dumps(corpus))
+        self.assert_same(copy.dataset, corpus.dataset)
 
 
 class TestStudyIntegration:

@@ -16,15 +16,23 @@ Three promises are pinned here:
   engine fault taxonomy.
 """
 
+import contextlib
+import gc
 import hashlib
+import mmap
+import warnings
+from unittest import mock
 
 import pytest
 
 from repro.dataset import (Dataset, DatasetCodecError,
                            dataset_to_json, footprints_fingerprint)
+from repro.dataset.interner import ApiInterner
 from repro.engine import AnalysisCache
 from repro.engine.errors import classify_exception
-from repro.store import (MAGIC, STORE_VERSION, SnapshotDataset,
+from repro.metrics import dep_semantics_ablation
+from repro.series import load_series, write_series
+from repro.store import (MAGIC, STORE_VERSION,
                          StoreCRCError, StoreError, StoreLayoutError,
                          StoreMagicError, StoreTruncatedError,
                          StoreVersionError, load_snapshot,
@@ -32,7 +40,8 @@ from repro.store import (MAGIC, STORE_VERSION, SnapshotDataset,
                          snapshot_info, snapshot_to_bytes,
                          write_snapshot)
 from repro.store.format import Cursor, pack_str, pack_str_list
-from repro.synth import PaperScaleConfig, build_paper_corpus
+from repro.synth import (EvolutionConfig, PaperScaleConfig,
+                         build_paper_corpus, evolve_corpus)
 
 
 @pytest.fixture(scope="module")
@@ -129,10 +138,39 @@ class TestLazyMaterialization:
                                                  snapshot_bytes):
         loaded = load_snapshot_bytes(snapshot_bytes)
         clone = loaded.rebound(corpus.popcon, corpus.repository)
-        assert not isinstance(clone, SnapshotDataset)
         assert isinstance(clone, Dataset)
         assert dict(clone) == dict(corpus.dataset)
         assert clone.popcon is corpus.popcon
+
+    def test_rebound_builds_nothing(self, corpus, snapshot_bytes):
+        loaded = load_snapshot_bytes(snapshot_bytes)
+        with names_of_calls() as rebound_calls:
+            and_only = loaded.rebound(
+                corpus.popcon, corpus.repository.and_only_view())
+        assert len(rebound_calls) == 0
+        assert and_only.source_fingerprint == loaded.source_fingerprint
+        with names_of_calls() as lazy_calls:
+            lazy = dep_semantics_ablation(load_snapshot_bytes(
+                snapshot_bytes))
+        with names_of_calls() as eager_calls:
+            eager = dep_semantics_ablation(corpus.dataset)
+        assert len(lazy_calls) <= len(eager_calls)
+        assert lazy == eager
+
+
+@contextlib.contextmanager
+def names_of_calls():
+    """Record every ``ApiInterner.names_of`` call: building a footprint
+    from masks makes one per dimension."""
+    names_of = ApiInterner.names_of
+    calls = []
+
+    def counting(interner, mask):
+        calls.append(mask)
+        return names_of(interner, mask)
+
+    with mock.patch.object(ApiInterner, "names_of", counting):
+        yield calls
 
 
 class TestCorruption:
@@ -184,6 +222,44 @@ class TestCorruption:
         path.write_bytes(b"")
         with pytest.raises(StoreTruncatedError):
             load_snapshot(path)
+
+
+def _series_contents(series):
+    return [dataset_to_json(series.at(release))
+            for release in range(series.n_releases)]
+
+
+class TestMapFile:
+    """Both loaders share one mapping helper; when the filesystem
+    cannot map, they read the bytes and close the file."""
+
+    @pytest.fixture(scope="class")
+    def train(self):
+        return evolve_corpus(EvolutionConfig(
+            n_releases=3, base=PaperScaleConfig.at_scale(0.002, seed=5),
+            seed=5)).datasets()
+
+    @pytest.mark.parametrize("kind", ["snapshot", "series"])
+    def test_unmappable_file_loads_and_closes(self, corpus, train,
+                                              tmp_path, kind):
+        if kind == "snapshot":
+            path = tmp_path / "corpus.rsnap"
+            write_snapshot(path, corpus.dataset)
+            load, contents = load_snapshot, dataset_to_json
+        else:
+            path = tmp_path / "train.rser"
+            write_series(path, train)
+            load, contents = load_series, _series_contents
+        expected = contents(load(path))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with mock.patch.object(mmap, "mmap",
+                                   side_effect=OSError("no mmap")):
+                loaded = load(path)
+            gc.collect()
+        assert [w for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
+        assert contents(loaded) == expected
 
 
 class TestErrorContract:

@@ -10,8 +10,8 @@ claims:
   the generator can produce;
 * every metric — importance, weighted completeness, the completeness
   curve, the advisor coverage plan — is **bit-for-bit equal** across
-  the eager-JSON path, the mmap-lazy :class:`SnapshotDataset` path,
-  and the legacy :mod:`repro.dataset.reference` implementations.
+  the eager-JSON path, the mmap-lazy ``.rsnap`` path, and the legacy
+  :mod:`repro.dataset.reference` implementations.
 """
 
 import pytest
