@@ -21,12 +21,17 @@ bit-for-bit identical curve.
 bytes-on-disk to the first importance answer, JSON codec vs the
 mmap-lazy ``.rsnap`` store (:mod:`repro.store`), at three corpus
 sizes: the benchmark study, a tenth-scale paper corpus, and the full
-30,976-package paper population.  Gates ``speedup_cold > 1`` at
-**every** size — the binary snapshot must never lose to JSON — and
-requires identical importance tables on each path.
+30,976-package paper population.  Each path is timed as the median
+of alternating runs (7 per tier below paper scale, 3 at paper scale),
+which one goes first swapping every round: both paths end in the same
+first ``importance_table``, so one shot each is a coin toss on the
+smaller tiers.  Gates ``speedup_cold > 1`` at **every** size — the
+binary snapshot must never lose to JSON — and requires identical
+importance tables on each path.
 """
 
 import json
+import statistics
 import time
 
 from repro.dataset import Dataset, dataset_from_json, \
@@ -44,6 +49,21 @@ def _timed(fn):
     start = time.perf_counter()
     result = fn()
     return time.perf_counter() - start, result
+
+
+def _alternating_medians(runs, first, second):
+    """Median seconds of ``first`` and ``second`` over ``runs`` rounds
+    each, swapping which runs first every round, plus each one's last
+    result."""
+    timings = {first: [], second: []}
+    results = {}
+    for round_ in range(runs):
+        order = (first, second) if round_ % 2 == 0 else (second, first)
+        for fn in order:
+            seconds, results[fn] = _timed(fn)
+            timings[fn].append(seconds)
+    return (statistics.median(timings[first]), results[first],
+            statistics.median(timings[second]), results[second])
 
 
 def test_dataset_speed(study, output_dir, save):
@@ -116,25 +136,26 @@ def _cold_rsnap(path, popcon, repository):
 
 def test_snapshot_cold_speed(study, output_dir, save, tmp_path):
     tiers = [
-        ("study", study.dataset, study.popcon, study.repository),
+        ("study", 7, study.dataset, study.popcon, study.repository),
     ]
-    for label, scale in (("paper-tenth", 0.1), ("paper", 1.0)):
+    for label, scale, runs in (("paper-tenth", 0.1, 7),
+                               ("paper", 1.0, 3)):
         corpus = build_paper_corpus(PaperScaleConfig.at_scale(scale))
-        tiers.append((label, corpus.dataset, corpus.popcon,
+        tiers.append((label, runs, corpus.dataset, corpus.popcon,
                       corpus.repository))
 
     results = []
     lines = []
-    for label, dataset, popcon, repository in tiers:
+    for label, runs, dataset, popcon, repository in tiers:
         json_path = tmp_path / f"{label}.json"
         rsnap_path = tmp_path / f"{label}.rsnap"
         json_path.write_text(dataset_to_json(dataset),
                              encoding="utf-8")
         write_snapshot(rsnap_path, dataset)
 
-        json_seconds, (_, json_table) = _timed(
-            lambda: _cold_json(json_path, popcon, repository))
-        rsnap_seconds, (_, rsnap_table) = _timed(
+        (json_seconds, (_, json_table),
+         rsnap_seconds, (_, rsnap_table)) = _alternating_medians(
+            runs, lambda: _cold_json(json_path, popcon, repository),
             lambda: _cold_rsnap(rsnap_path, popcon, repository))
         assert rsnap_table == json_table, (
             f"{label}: snapshot importance diverged from JSON")
@@ -143,6 +164,7 @@ def test_snapshot_cold_speed(study, output_dir, save, tmp_path):
         results.append({
             "tier": label,
             "packages": len(dataset.packages),
+            "runs": runs,
             "json_bytes": json_path.stat().st_size,
             "rsnap_bytes": rsnap_path.stat().st_size,
             "json_cold_seconds": json_seconds,
@@ -152,7 +174,7 @@ def test_snapshot_cold_speed(study, output_dir, save, tmp_path):
         lines.append((f"{label} ({len(dataset.packages)} pkgs)",
                       f"json {json_seconds * 1000:.1f} ms, "
                       f"rsnap {rsnap_seconds * 1000:.1f} ms "
-                      f"({speedup_cold:.1f}x)"))
+                      f"({speedup_cold:.1f}x, median of {runs})"))
 
     bench_path = output_dir / "BENCH_dataset.json"
     payload = (json.loads(bench_path.read_text(encoding="utf-8"))

@@ -14,6 +14,15 @@ into ``benchmarks/output/BENCH_series.json``:
   freshly opened series (so each replays its chain from the base),
   and ``at(head)`` plus the first importance answer on another fresh
   series: the reload-to-first-answer path time-travel serving pays;
+* **kernels** — cold and warm seconds of the per-release query
+  kernels on the head release, with Graphene's Table 6 set as the
+  supported set and the ranked APIs it lacks as the modified set:
+  ``missing_apis_report``, ``workload_suggestions``,
+  ``coverage_plan`` and ``condensed_graph``.  Each kernel runs on a
+  freshly opened head whose importance table was already answered
+  (so the shared per-package tables exist); *cold* is the median
+  first call over three such heads, *warm* the median of the next
+  five calls on the last one.  Recorded, not gated;
 * **identity** — ``series.at(k)`` must answer bit-identically to the
   eagerly evolved release ``k`` (importance tables, package rows and
   every source footprint) for every ``k``, at this scale too, not
@@ -21,9 +30,12 @@ into ``benchmarks/output/BENCH_series.json``:
 """
 
 import json
+import statistics
 import time
 
-from repro.metrics import importance_table
+from repro.compat import coverage_plan, graphene_model, \
+    workload_suggestions
+from repro.metrics import importance_table, missing_apis_report, ranked
 from repro.series import load_series, write_series
 from repro.store import load_snapshot, write_snapshot
 from repro.synth import EvolutionConfig, evolve_corpus
@@ -84,6 +96,30 @@ def test_series_storage_and_cold_open(output_dir, save, tmp_path):
     head_seconds, head = _timed(lambda: fresh.head)
     first_importance_seconds, _ = _timed(lambda: importance_table(head))
 
+    # Kernels on the head release, cold then warm.
+    ranking = [api for api, _ in ranked(importance_table(head))]
+    supported = graphene_model(ranking).supported
+    lacking = [api for api in ranking if api not in supported]
+    kernels = {
+        "missing_apis_report": lambda ds: missing_apis_report(
+            supported, ds),
+        "workload_suggestions": lambda ds: workload_suggestions(
+            lacking, ds),
+        "coverage_plan": lambda ds: coverage_plan(lacking, ds),
+        "condensed_graph": lambda ds: ds.condensed_graph("syscall"),
+    }
+    kernel_seconds = {}
+    for name, kernel in kernels.items():
+        colds = []
+        for _ in range(3):
+            release = load_series(series_path).head
+            importance_table(release)
+            colds.append(_timed(lambda: kernel(release))[0])
+        warm = statistics.median(
+            _timed(lambda: kernel(release))[0] for _ in range(5))
+        kernel_seconds[name] = {"cold_seconds": statistics.median(colds),
+                                "warm_seconds": warm}
+
     # Identity at scale: lazy == eager for every release.
     eager = [importance_table(dataset) for dataset in datasets]
     assert via_series == eager, \
@@ -110,6 +146,7 @@ def test_series_storage_and_cold_open(output_dir, save, tmp_path):
         "at_seconds_per_release": at_seconds,
         "at_head_seconds": head_seconds,
         "first_importance_seconds": first_importance_seconds,
+        "head_kernels": kernel_seconds,
         "identical_all_releases": True,
     }
     (output_dir / "BENCH_series.json").write_text(
@@ -131,6 +168,10 @@ def test_series_storage_and_cold_open(output_dir, save, tmp_path):
             f"{seconds * 1000:.0f}" for seconds in at_seconds) + " ms",
         f"  at(head)        {head_seconds * 1000:.1f} ms, first "
         f"importance {first_importance_seconds * 1000:.1f} ms",
+    ] + [
+        f"  {name:<21}cold {seconds['cold_seconds'] * 1000:.2f} ms, "
+        f"warm {seconds['warm_seconds'] * 1000:.2f} ms (head)"
+        for name, seconds in kernel_seconds.items()
     ]))
 
     assert storage_ratio < _MAX_STORAGE_RATIO, (

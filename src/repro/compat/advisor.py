@@ -18,12 +18,9 @@ are single bitmask ANDs over the dataset's cached masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
-from ..analysis.footprint import Footprint
-from ..dataset.core import Dataset, FootprintsLike, as_dataset
-from ..dataset.dimensions import DIMENSIONS
-from ..dataset.interner import popcount
+from ..dataset.core import FootprintsLike, as_dataset
 from ..metrics.importance import dependents_index
 from ..packages.popcon import PopularityContest
 from ..packages.repository import Repository
@@ -49,26 +46,32 @@ def workload_suggestions(modified_apis: Iterable[str],
                          limit: int = 10) -> List[WorkloadSuggestion]:
     """Rank packages as evaluation workloads for a set of modified
     APIs: prefer packages exercising more of the set, then more widely
-    installed ones (a benefit nobody installs is not a benefit)."""
+    installed ones (a benefit nobody installs is not a benefit).
+
+    Packages are ranked on ``(-popcount, -weight, name)`` keys (names
+    are unique, so the order is total) and only the ``[:limit]`` rows
+    returned get their API names decoded.
+    """
     dataset = as_dataset(footprints, popcon)
     space = dataset.space
     modified_mask = space.mask_of(dimension, modified_apis)
-    masks = dataset.masks(dimension)
-    suggestions = []
-    for position, package in enumerate(dataset.packages):
-        exercised_mask = masks[position] & modified_mask
-        if not exercised_mask:
-            continue
-        exercised = tuple(sorted(space.names_of(dimension,
-                                                exercised_mask)))
-        suggestions.append(WorkloadSuggestion(
-            package=package,
-            install_probability=dataset.weight_of(package),
-            apis_exercised=exercised,
-        ))
-    suggestions.sort(key=lambda s: (-s.coverage,
-                                    -s.install_probability, s.package))
-    return suggestions[:limit]
+    hits = [(position, exercised)
+            for position, mask in enumerate(dataset.masks(dimension))
+            if (exercised := mask & modified_mask)]
+    if not hits:
+        return []
+    weights = dataset.weights
+    packages = dataset.packages
+    ranked = sorted((-exercised.bit_count(), -weights[position],
+                     packages[position], exercised)
+                    for position, exercised in hits)
+    return [WorkloadSuggestion(
+                package=package,
+                install_probability=-negative_weight,
+                apis_exercised=tuple(sorted(space.names_of(dimension,
+                                                           exercised))))
+            for _, negative_weight, package, exercised
+            in ranked[:limit]]
 
 
 @dataclass(frozen=True)
@@ -136,32 +139,38 @@ def coverage_plan(modified_apis: Iterable[str],
 
     Answers "what is the smallest benchmark suite that exercises all
     my changes?" — packages are added in order of marginal coverage.
+
+    Each candidate carries its weight next to its overlap mask, and
+    after every pick the candidates with nothing left to cover are
+    dropped: such a candidate can never win a later round (when every
+    candidate is exhausted the greedy loop stops anyway), so the plan
+    is unchanged while each round scans only live candidates.
     """
     dataset = as_dataset(footprints, popcon)
     space = dataset.space
     remaining = space.mask_of(dimension, modified_apis)
-    masks = dataset.masks(dimension)
-    candidates: Dict[str, int] = {}
-    for position, package in enumerate(dataset.packages):
-        overlap = masks[position] & remaining
-        if overlap:
-            candidates[package] = overlap
+    hits = [(position, overlap)
+            for position, mask in enumerate(dataset.masks(dimension))
+            if (overlap := mask & remaining)]
+    if not hits:
+        return []
+    weights = dataset.weights
+    packages = dataset.packages
+    candidates = [(overlap, weights[position], packages[position])
+                  for position, overlap in hits]
     chosen: List[WorkloadSuggestion] = []
-    while remaining and candidates:
-        best_pkg, best_apis = max(
-            candidates.items(),
-            key=lambda item: (popcount(item[1] & remaining),
-                              dataset.weight_of(item[0]),
-                              item[0]))
-        gain = best_apis & remaining
-        if not gain:
-            break
+    while candidates:
+        best_apis, weight, best_pkg = max(
+            candidates,
+            key=lambda item: ((item[0] & remaining).bit_count(),
+                              item[1], item[2]))
         chosen.append(WorkloadSuggestion(
             package=best_pkg,
-            install_probability=dataset.weight_of(best_pkg),
+            install_probability=weight,
             apis_exercised=tuple(sorted(
                 space.names_of(dimension, best_apis))),
         ))
-        remaining &= ~gain
-        del candidates[best_pkg]
+        remaining &= ~best_apis
+        candidates = [item for item in candidates
+                      if item[0] & remaining]
     return chosen

@@ -303,6 +303,7 @@ class Dataset(MappingABC):
         self._bit_counts: Dict[str, List[int]] = {}
         self._universe_ids: Dict[Tuple[str, bool], List[int]] = {}
         self._users: Dict[str, List[List[int]]] = {}
+        self._user_weights: Dict[str, List[Optional[float]]] = {}
         self._importance: Dict[str, Dict[str, float]] = {}
         self._usage: Dict[Tuple[str, bool], Dict[str, float]] = {}
         self._graphs: Dict[Tuple[str, bool, bool],
@@ -451,6 +452,31 @@ class Dataset(MappingABC):
             self._users[dimension] = cached
         return cached
 
+    def user_weight_sums(self, dimension: str) -> List[Optional[float]]:
+        """api id -> summed weight of the API's users (``None`` when
+        no package uses it), do not mutate.
+
+        Each sum runs over :meth:`users_index` order, which is package
+        order, with an explicit ``+=`` loop: the same additions in the
+        same sequence as a per-package accumulation, so the floats are
+        bit-for-bit identical.  (``sum()`` of floats is compensated on
+        Python 3.12+ and would change the last bits.)
+        """
+        cached = self._user_weights.get(dimension)
+        if cached is None:
+            weights = self.weights
+            cached = []
+            for users in self.users_index(dimension):
+                if not users:
+                    cached.append(None)
+                    continue
+                total = 0.0
+                for pkg_id in users:
+                    total += weights[pkg_id]
+                cached.append(total)
+            self._user_weights[dimension] = cached
+        return cached
+
     def importance_table(self, dimension: str = "syscall",
                          universe: Iterable[str] = (),
                          ) -> Dict[str, float]:
@@ -545,6 +571,7 @@ class Dataset(MappingABC):
         if popcon is not self.popcon:
             clone._weights = None
             clone._weight_by_name = None
+            clone._user_weights = {}
             clone._importance = {}
         if repository is not self.repository:
             clone._graphs = {}

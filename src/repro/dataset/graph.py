@@ -39,9 +39,10 @@ rescue that supports any mutually-consistent residue at once.  Flat
 corpora have no OR edges, so every super-component is a singleton and
 the rescue machinery never engages.
 
-This used to live inside ``repro.metrics.ranking._SupportTracker``,
-rebuilt (Tarjan included) on every curve evaluation.  It is split
-here into the immutable :class:`CondensedDependencyGraph` — which the
+The pre-refactor curve rebuilt one tracker (Tarjan included) on
+every evaluation; :mod:`repro.dataset.reference` keeps that version
+as the oracle.  Here it is split into the immutable
+:class:`CondensedDependencyGraph` — which the
 :class:`repro.dataset.Dataset` facade caches per (dimension,
 universe) — and the cheap mutable :class:`SupportTracker` state that
 each curve run spawns from it.
@@ -79,6 +80,8 @@ class CondensedDependencyGraph:
         poisoned_nodes: Set[str] = set()
         # Groups with >= 2 in-universe satisfiers: (owner, satisfiers).
         raw_or_groups: List[Tuple[str, Tuple[str, ...]]] = []
+        # Many packages depend on the same few targets.
+        satisfiers_of: Dict[str, Tuple[str, ...]] = {}
         for name in nodes:
             if name not in repository:
                 # No dependency metadata: never invalidated (mirrors
@@ -89,7 +92,10 @@ class CondensedDependencyGraph:
                 resolved_seen: Set[str] = set()
                 gates = True
                 for alternative in group:
-                    satisfiers = repository.satisfiers(alternative)
+                    satisfiers = satisfiers_of.get(alternative)
+                    if satisfiers is None:
+                        satisfiers = repository.satisfiers(alternative)
+                        satisfiers_of[alternative] = satisfiers
                     if not satisfiers:
                         # An unknown, unprovided alternative satisfies
                         # the whole group — close_over_dependencies

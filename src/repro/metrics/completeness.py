@@ -20,7 +20,7 @@ unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import FrozenSet, Iterable, List, Optional, Set
 
 from ..dataset.core import FootprintsLike, as_dataset
 from ..dataset.dimensions import DIMENSIONS
@@ -180,34 +180,25 @@ def missing_apis_report(supported_apis: Iterable[str],
     """Most valuable APIs to add next (§4.1's "suggested APIs").
 
     Ranks each unsupported API by the total installation probability of
-    the packages it currently blocks.  ``ignore_empty`` restricts the
-    accounting to the same universe :func:`weighted_completeness` uses
-    — packages empty in the dimension contribute no blocked weight.
-    (An empty-in-dimension package has nothing missing, so today the
-    filter cannot change any ranking; the shared universe keeps the two
-    metrics structurally consistent if that invariant ever shifts.)
+    the packages it currently blocks.  Every user of an unsupported API
+    is blocked by it, so that total is the API's summed user weight,
+    which :meth:`Dataset.user_weight_sums` caches per release: a call
+    costs O(APIs), not a walk over every package's missing bits.  The
+    cached sums run in package order, the order a per-package
+    accumulation adds in, so the floats are bit-for-bit the same.
+
+    ``ignore_empty`` restricts the accounting to the same universe
+    :func:`weighted_completeness` uses.  A package empty in the
+    dimension uses no API and blocks nothing, so the flag cannot
+    change the result; it keeps the two metrics' signatures aligned.
     """
     dataset = as_dataset(footprints, popcon)
-    popcon = dataset._require_popcon()
-    universe_ids = dataset.universe_ids(dimension, ignore_empty)
     supported_mask = dataset.space.mask_of(dimension, supported_apis)
-    masks = dataset.masks(dimension)
-    weights = dataset.weights
-    blocked_weight: Dict[int, float] = {}
-    for i in universe_ids:
-        missing = masks[i] & ~supported_mask
-        if not missing:
-            continue
-        weight = weights[i]
-        while missing:
-            low = missing & -missing
-            api_id = low.bit_length() - 1
-            blocked_weight[api_id] = (blocked_weight.get(api_id, 0.0)
-                                      + weight)
-            missing ^= low
     name_of = dataset.space.name_of
     ranked = sorted(
         ((name_of(dimension, api_id), weight)
-         for api_id, weight in blocked_weight.items()),
+         for api_id, weight in enumerate(
+             dataset.user_weight_sums(dimension))
+         if weight is not None and not supported_mask >> api_id & 1),
         key=lambda item: (-item[1], item[0]))
     return ranked[:limit]

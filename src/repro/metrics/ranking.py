@@ -20,25 +20,9 @@ from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from ..dataset.core import FootprintsLike, as_dataset
-from ..dataset.graph import CondensedDependencyGraph, SupportTracker
 from ..packages.popcon import PopularityContest
 from ..packages.repository import Repository
 from .importance import ranked
-
-
-class _SupportTracker(SupportTracker):
-    """Backwards-compatible alias: build graph + tracker in one shot.
-
-    The implementation moved to :mod:`repro.dataset.graph`, split into
-    the immutable condensation and the per-run counters; this shim
-    keeps the old ``(universe, repository, assumed)`` constructor for
-    existing callers.
-    """
-
-    def __init__(self, universe, repository: Repository,
-                 assumed) -> None:
-        super().__init__(CondensedDependencyGraph(universe, repository,
-                                                  assumed))
 
 
 @dataclass(frozen=True)

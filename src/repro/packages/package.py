@@ -23,6 +23,9 @@ def split_alternatives(dep: str) -> Tuple[str, ...]:
     parses to a single-alternative group, so pre-alternative dependency
     lists round-trip unchanged.
     """
+    if "|" not in dep:
+        dep = dep.strip()
+        return (dep,) if dep else ()
     return tuple(alt for alt in
                  (part.strip() for part in dep.split("|")) if alt)
 

@@ -47,9 +47,11 @@ class DependencyReport:
 class Repository:
     """A collection of packages indexed by name.
 
-    Provider/reverse-dependency/group indexes are built lazily on first
-    use and invalidated by :meth:`add` — lookups between mutations are
-    O(1) instead of a full repository scan per call.
+    Provider/group indexes are built lazily on first use, the
+    reverse-dependency index only when :meth:`reverse_dependencies`
+    first needs it; :meth:`add` invalidates all three, so lookups
+    between mutations are O(1) instead of a full repository scan per
+    call.
     """
 
     def __init__(self, packages: Iterable[Package] = ()) -> None:
@@ -97,10 +99,22 @@ class Repository:
             groups[package.name] = dependency_groups(package.depends)
             for virtual in package.provides:
                 providers.setdefault(virtual, []).append(package.name)
+        # ``_groups`` is the built-flag: set it last, so a concurrent
+        # reader never sees it without ``_providers``.
+        self._providers = providers
+        self._groups = groups
+
+    def _ensure_reverse(self) -> None:
+        # Only reverse_dependencies reads this index, so the closure,
+        # the curve and each series release never pay for it.
+        if self._reverse is not None:
+            return
+        self._ensure_indexes()
+        providers = self._providers
         reverse: Dict[str, List[str]] = {}
-        for package in self._packages.values():
+        for name, groups in self._groups.items():
             seen: Set[str] = set()
-            for group in groups[package.name]:
+            for group in groups:
                 for alternative in group:
                     targets = [alternative]
                     targets.extend(providers.get(alternative, ()))
@@ -108,9 +122,7 @@ class Repository:
                         if target in seen:
                             continue
                         seen.add(target)
-                        reverse.setdefault(target, []).append(package.name)
-        self._groups = groups
-        self._providers = providers
+                        reverse.setdefault(target, []).append(name)
         self._reverse = reverse
 
     def dependency_groups_of(self, name: str) -> Tuple[Tuple[str, ...], ...]:
@@ -190,9 +202,9 @@ class Repository:
 
         A package counts when some alternative names ``name`` itself,
         or names a virtual package that ``name`` provides.  Backed by
-        the cached reverse-adjacency index.
+        the reverse-adjacency index, built on first call.
         """
-        self._ensure_indexes()
+        self._ensure_reverse()
         dependents = set(self._reverse.get(name, ()))
         package = self._packages.get(name)
         if package is not None:

@@ -28,6 +28,7 @@ from repro.dataset import (
     split_namespaced,
 )
 from repro.dataset import reference
+from repro.metrics import missing_apis_report
 from repro.packages.package import Package
 from repro.packages.popcon import PopularityContest
 from repro.packages.repository import Repository
@@ -238,6 +239,32 @@ class TestDataset:
         assert rebound.masks("syscall") is masks
         assert rebound.weight_of("editor") == 0.01
         assert dataset.weight_of("editor") == 0.8
+
+    def test_user_weight_sums_match_per_api_sums(self):
+        footprints, popcon, _ = _corpus()
+        dataset = Dataset(footprints, popcon)
+        for dimension in ALL_DIMENSIONS:
+            expected = []
+            for users in dataset.users_index(dimension):
+                total = None
+                for pkg_id in users:
+                    total = (total or 0.0) + dataset.weights[pkg_id]
+                expected.append(total)
+            assert dataset.user_weight_sums(dimension) == expected
+
+    def test_rebound_resets_user_weight_sums(self):
+        footprints, popcon, repository = _corpus()
+        dataset = Dataset(footprints, popcon, repository)
+        other = PopularityContest(1000, {
+            "editor": 10, "daemon": 600, "tool": 300, "doc-pack": 5})
+        for dimension in ALL_DIMENSIONS:
+            # Warm the per-API sums under the first popcon.
+            missing_apis_report([], dataset, dimension=dimension)
+        rebound = dataset.rebound(other, repository)
+        fresh = Dataset(footprints, other, repository)
+        for dimension in ALL_DIMENSIONS:
+            assert missing_apis_report([], rebound, dimension=dimension) \
+                == missing_apis_report([], fresh, dimension=dimension)
 
     def test_stats(self):
         footprints, popcon, repository = _corpus()

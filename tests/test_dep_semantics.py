@@ -11,6 +11,8 @@ the concrete behaviours with hand-built repositories.
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.analysis.footprint import Footprint
 from repro.dataset import Dataset
@@ -46,6 +48,13 @@ class TestParser:
     def test_empty_alternatives_are_dropped(self):
         assert split_alternatives("|") == ()
         assert split_alternatives("a ||") == ("a",)
+
+    @given(st.text(alphabet="ab| \t", max_size=12))
+    def test_entries_without_bar_parse_like_any_other(self, dep):
+        # The "|"-free fast path returns what the general split does.
+        assert split_alternatives(dep) == tuple(
+            alt for alt in (part.strip() for part in dep.split("|"))
+            if alt)
 
     def test_dependency_groups_skips_empty_entries(self):
         assert dependency_groups(["a | b", "", "c"]) == \
@@ -128,6 +137,15 @@ class TestReverseDependencies:
             frozenset({"mutt", "cron"})
         assert mail_repo.reverse_dependencies("libc6") == \
             frozenset({"postfix", "exim4", "mutt"})
+
+    def test_index_is_built_only_when_asked(self, mail_repo):
+        # Closure and curve lookups never need the reverse index.
+        mail_repo.dependency_groups_of("mutt")
+        mail_repo.satisfiers("mail-transport-agent")
+        assert mail_repo._reverse is None
+        assert mail_repo.reverse_dependencies("postfix") == \
+            frozenset({"mutt", "cron"})
+        assert mail_repo._reverse is not None
 
     def test_self_dependency_is_kept(self):
         repo = Repository([Package("ouroboros",
