@@ -18,24 +18,32 @@ into ``benchmarks/output/BENCH_series.json``:
   kernels on the head release, with Graphene's Table 6 set as the
   supported set and the ranked APIs it lacks as the modified set:
   ``missing_apis_report``, ``workload_suggestions``,
-  ``coverage_plan`` and ``condensed_graph``.  Each kernel runs on a
-  freshly opened head whose importance table was already answered
-  (so the shared per-package tables exist); *cold* is the median
-  first call over three such heads, *warm* the median of the next
-  five calls on the last one.  Recorded, not gated;
+  ``coverage_plan``, ``condensed_graph`` and ``completeness_curve``
+  (Figure 3's curve; its cold call includes the graph build).  Each
+  kernel runs on a freshly opened head whose importance table was
+  already answered (so the shared per-package tables exist); *cold*
+  is the median first call over three such heads, *warm* the median
+  of the next five calls on the last one.  ``condensed_graph`` also
+  records ``gc_objects_retained``: the ``gc.get_objects()`` delta
+  across one build (settled collections before and after, the
+  repository's own indexes built beforehand), i.e. the objects the
+  garbage collector must traverse that the head's graph keeps alive
+  (median of three fresh heads).  Recorded, not gated;
 * **identity** — ``series.at(k)`` must answer bit-identically to the
   eagerly evolved release ``k`` (importance tables, package rows and
   every source footprint) for every ``k``, at this scale too, not
   just the test-sized corpora the unit suites cover.
 """
 
+import gc
 import json
 import statistics
 import time
 
 from repro.compat import coverage_plan, graphene_model, \
     workload_suggestions
-from repro.metrics import importance_table, missing_apis_report, ranked
+from repro.metrics import (completeness_curve, importance_table,
+                           missing_apis_report, ranked)
 from repro.series import load_series, write_series
 from repro.store import load_snapshot, write_snapshot
 from repro.synth import EvolutionConfig, evolve_corpus
@@ -49,6 +57,15 @@ def _timed(fn):
     start = time.perf_counter()
     result = fn()
     return time.perf_counter() - start, result
+
+
+def _tracked_objects() -> int:
+    """GC-tracked objects alive now.  Two collections: a collection
+    untracks a tuple only once its items are untracked, so the
+    repository's tuples of tuples settle on the second."""
+    gc.collect()
+    gc.collect()
+    return len(gc.get_objects())
 
 
 def test_series_storage_and_cold_open(output_dir, save, tmp_path):
@@ -107,6 +124,7 @@ def test_series_storage_and_cold_open(output_dir, save, tmp_path):
             lacking, ds),
         "coverage_plan": lambda ds: coverage_plan(lacking, ds),
         "condensed_graph": lambda ds: ds.condensed_graph("syscall"),
+        "completeness_curve": lambda ds: completeness_curve(ds),
     }
     kernel_seconds = {}
     for name, kernel in kernels.items():
@@ -119,6 +137,17 @@ def test_series_storage_and_cold_open(output_dir, save, tmp_path):
             _timed(lambda: kernel(release))[0] for _ in range(5))
         kernel_seconds[name] = {"cold_seconds": statistics.median(colds),
                                 "warm_seconds": warm}
+
+    retained = []
+    for _ in range(3):
+        release = load_series(series_path).head
+        importance_table(release)
+        release.repository.dependency_groups_of("")
+        before = _tracked_objects()
+        release.condensed_graph("syscall")      # cached on the release
+        retained.append(_tracked_objects() - before)
+    kernel_seconds["condensed_graph"]["gc_objects_retained"] = \
+        statistics.median(retained)
 
     # Identity at scale: lazy == eager for every release.
     eager = [importance_table(dataset) for dataset in datasets]
@@ -172,6 +201,10 @@ def test_series_storage_and_cold_open(output_dir, save, tmp_path):
         f"  {name:<21}cold {seconds['cold_seconds'] * 1000:.2f} ms, "
         f"warm {seconds['warm_seconds'] * 1000:.2f} ms (head)"
         for name, seconds in kernel_seconds.items()
+    ] + [
+        f"  {'condensed_graph':<21}retains "
+        f"{kernel_seconds['condensed_graph']['gc_objects_retained']} "
+        "GC-tracked objects (head)",
     ]))
 
     assert storage_ratio < _MAX_STORAGE_RATIO, (

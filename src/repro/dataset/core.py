@@ -300,7 +300,6 @@ class Dataset(MappingABC):
         self._weights: Optional[Tuple[float, ...]] = None
         self._weight_by_name: Optional[Dict[str, float]] = None
         self._masks: Dict[str, List[int]] = {}
-        self._bit_counts: Dict[str, List[int]] = {}
         self._universe_ids: Dict[Tuple[str, bool], List[int]] = {}
         self._users: Dict[str, List[List[int]]] = {}
         self._user_weights: Dict[str, List[Optional[float]]] = {}
@@ -390,14 +389,6 @@ class Dataset(MappingABC):
                              for row in zip(*columns)]
         return self._bitsets
 
-    def bit_counts(self, dimension: str) -> List[int]:
-        """Per-package API count in ``dimension`` (do not mutate)."""
-        cached = self._bit_counts.get(dimension)
-        if cached is None:
-            cached = [mask.bit_count() for mask in self.masks(dimension)]
-            self._bit_counts[dimension] = cached
-        return cached
-
     def universe_ids(self, dimension: str,
                      ignore_empty: bool = True) -> List[int]:
         """Package ids in the measurement universe, package order.
@@ -417,13 +408,6 @@ class Dataset(MappingABC):
                 cached = list(range(len(self.packages)))
             self._universe_ids[key] = cached
         return cached
-
-    def empty_names(self, dimension: str) -> frozenset:
-        """Packages with an empty footprint in ``dimension`` — the
-        trivially-supported set dependency closures assume supported."""
-        nonempty = set(self.universe_ids(dimension, ignore_empty=True))
-        return frozenset(name for i, name in enumerate(self.packages)
-                         if i not in nonempty)
 
     # --- derived tables -------------------------------------------------
 
@@ -538,9 +522,10 @@ class Dataset(MappingABC):
                         ) -> CondensedDependencyGraph:
         """The SCC-condensed dependency DAG over the universe.
 
-        ``assume_trivial`` treats empty-footprint packages as always
-        supported (the completeness-curve convention; weighted
-        completeness with ``ignore_empty=False`` assumes nothing).
+        ``assume_trivial`` treats empty-footprint packages (the ids
+        whose mask in ``dimension`` is 0) as always supported (the
+        completeness-curve convention; weighted completeness with
+        ``ignore_empty=False`` assumes nothing).
         """
         if self.repository is None:
             raise ValueError("this Dataset was built without a "
@@ -548,13 +533,11 @@ class Dataset(MappingABC):
         key = (dimension, ignore_empty, assume_trivial)
         cached = self._graphs.get(key)
         if cached is None:
-            universe = [self.packages[i]
-                        for i in self.universe_ids(dimension,
-                                                   ignore_empty)]
-            assumed = (self.empty_names(dimension) if assume_trivial
-                       else frozenset())
-            cached = CondensedDependencyGraph(universe, self.repository,
-                                              assumed)
+            assumed = ([i for i, mask in enumerate(self.masks(dimension))
+                        if not mask] if assume_trivial else ())
+            cached = CondensedDependencyGraph(
+                self.packages, self.universe_ids(dimension, ignore_empty),
+                self.repository, assumed)
             self._graphs[key] = cached
         return cached
 

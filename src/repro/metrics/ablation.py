@@ -44,11 +44,17 @@ def dep_semantics_ablation(footprints: FootprintsLike,
     if dataset.repository is None:
         raise ValueError("dep_semantics_ablation needs a Repository")
     repository = dataset.repository
-    and_only = dataset.rebound(dataset.popcon,
-                               repository.and_only_view())
-
     full_curve = completeness_curve(dataset, dimension=dimension)
-    and_only_curve = completeness_curve(and_only, dimension=dimension)
+    if (repository.n_alternative_groups() == 0
+            and repository.n_provider_edges() == 0):
+        # Nothing to degrade: the AND-only view is the repository
+        # itself, so its curve is this one and every gap is 0.0.
+        and_only_curve = full_curve
+    else:
+        and_only = dataset.rebound(dataset.popcon,
+                                   repository.and_only_view())
+        and_only_curve = completeness_curve(and_only,
+                                            dimension=dimension)
 
     gaps = [full.completeness - degraded.completeness
             for full, degraded in zip(full_curve, and_only_curve)]

@@ -93,26 +93,34 @@ def close_over_dependencies(supported: Set[str],
     return result
 
 
-def _closed_supported(dataset, supported: Set[str], dimension: str,
+def _closed_supported(dataset, supported_ids: List[int], dimension: str,
                       ignore_empty: bool,
                       assume_trivial: bool) -> Set[str]:
-    """Dependency-close ``supported`` via the cached condensation.
+    """Dependency-close the packages ``supported_ids`` via the cached
+    condensation.
 
     Returns a set whose iteration order matches what the legacy
-    ``close_over_dependencies(supported, ...)`` produced: same copy of
-    the same source set, same discards — so float sums over it are
-    bit-for-bit identical.
+    ``close_over_dependencies(supported, ...)`` produced for the name
+    set built from ``supported_ids`` in order: same copy of the same
+    source set, same discards — so float sums over it are bit-for-bit
+    identical.  The closure is a fixed point, so marking in id order
+    keeps the same survivors, and discards never move the entries
+    that remain.
     """
     graph = dataset.condensed_graph(dimension, ignore_empty,
                                     assume_trivial=assume_trivial)
     tracker = graph.tracker()
-    survivors: Set[str] = set()
-    for name in supported:
-        survivors.update(tracker.mark_satisfied(name))
-    result = set(supported)
-    for name in supported:
-        if name not in survivors:
-            result.discard(name)
+    packages = dataset.packages
+    survived = bytearray(len(packages))
+    for pkg_id in supported_ids:
+        for newly in tracker.mark_satisfied(pkg_id):
+            survived[newly] = 1
+    # A copy of the built set, not the built set itself: the copy
+    # sizes its table afresh, and the legacy sum ran over the copy.
+    result = set({packages[i] for i in supported_ids})
+    for pkg_id in supported_ids:
+        if not survived[pkg_id]:
+            result.discard(packages[pkg_id])
     return result
 
 
@@ -136,14 +144,16 @@ def weighted_completeness(supported_apis: Iterable[str],
     supported_mask = dataset.space.mask_of(dimension, supported_apis)
     masks = dataset.masks(dimension)
     packages = dataset.packages
-    supported = {packages[i] for i in universe_ids
-                 if masks[i] & ~supported_mask == 0}
+    supported_ids = [i for i in universe_ids
+                     if masks[i] & ~supported_mask == 0]
     if repository is not None:
         # Legacy assumed exactly the packages outside the universe
         # supported — the empty-footprint set when ignore_empty.
-        supported = _closed_supported(dataset, supported, dimension,
+        supported = _closed_supported(dataset, supported_ids, dimension,
                                       ignore_empty,
                                       assume_trivial=ignore_empty)
+    else:
+        supported = {packages[i] for i in supported_ids}
     weights = dataset.weights
     numerator = sum(dataset.weight_of(pkg) for pkg in supported)
     denominator = sum(weights[i] for i in universe_ids)
@@ -158,16 +168,14 @@ def supported_packages(supported_apis: Iterable[str],
     dataset = as_dataset(footprints, repository=repository)
     supported_mask = dataset.space.mask_of(dimension, supported_apis)
     packages = dataset.packages
-    supported = {packages[i] for i, mask in
-                 enumerate(dataset.masks(dimension))
-                 if mask & ~supported_mask == 0}
-    if dataset.repository is not None:
-        # Full universe, but empty-footprint packages still count as
-        # trivially supported dependencies (legacy behaviour).
-        supported = _closed_supported(dataset, supported, dimension,
-                                      ignore_empty=False,
-                                      assume_trivial=True)
-    return supported
+    supported_ids = [i for i, mask in enumerate(dataset.masks(dimension))
+                     if mask & ~supported_mask == 0]
+    if dataset.repository is None:
+        return {packages[i] for i in supported_ids}
+    # Full universe, but empty-footprint packages still count as
+    # trivially supported dependencies (legacy behaviour).
+    return _closed_supported(dataset, supported_ids, dimension,
+                             ignore_empty=False, assume_trivial=True)
 
 
 def missing_apis_report(supported_apis: Iterable[str],

@@ -6,18 +6,26 @@ grows.  The resulting curve tells a system builder what the next most
 valuable API is and how much of a typical installation each
 implementation stage unlocks.
 
-The curve runs on the interned substrate: per-package requirement
-counts come from mask popcounts, the api -> users index is the
-dataset's cached id index, and the dependency condensation
-(:class:`repro.dataset.CondensedDependencyGraph`) is built once per
-dataset and reused across curve calls — only the cheap per-run
-counters (:class:`repro.dataset.SupportTracker`) are fresh.
+The curve runs on the interned substrate.  ``prefix[r]`` is the mask
+of the first ``r`` ranked APIs; a package joins at its *support
+rank*, the smallest ``r`` whose prefix covers its mask, found by
+bisection once per distinct mask.  Packages are bucketed by that rank
+in package order, and the buckets are fed to the tracker rank by
+rank.  That is the same sequence of ``mark_satisfied`` calls a
+per-(API, user) decrement loop makes — an API's users are listed in
+package order, so the packages it completes reach zero in package
+order — which keeps every summed float bit-identical while skipping
+one counter update per (API, user) pair.  The dependency
+condensation (:class:`repro.dataset.CondensedDependencyGraph`) is
+built once per dataset and reused across curve calls — only the
+cheap per-run counters (:class:`repro.dataset.SupportTracker`) are
+fresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..dataset.core import FootprintsLike, as_dataset
 from ..packages.popcon import PopularityContest
@@ -61,17 +69,17 @@ def completeness_curve(footprints: FootprintsLike,
     Packages with an empty footprint are excluded (see
     :func:`repro.metrics.completeness.weighted_completeness`).
 
-    Runs incrementally: per package, how many required APIs are still
-    missing (a mask popcount); per dependency-graph component, how many
-    members and dependencies are still unsupported — so the whole curve
-    costs O(APIs + packages + dependency edges) instead of re-running
-    the dependency fixed point at every rank.
+    Runs incrementally.  Each package joins the curve at its *support
+    rank*: the first rank whose prefix of APIs covers its mask.  Per
+    dependency-graph component, the tracker counts how many members
+    and dependencies are still unsupported — so the whole curve costs
+    O(APIs + distinct masks * log APIs + dependency edges) instead of
+    re-running the dependency fixed point at every rank.
     """
     dataset = as_dataset(footprints, popcon, repository)
     popcon = dataset._require_popcon()
     repository = dataset.repository
     space = dataset.space
-    packages = dataset.packages
     weights = dataset.weights
     universe_ids = dataset.universe_ids(dimension, ignore_empty)
 
@@ -84,44 +92,83 @@ def completeness_curve(footprints: FootprintsLike,
                    key=lambda api: (-importance[api],
                                     -usage.get(api, 0.0), api))
 
-    requirement_count = list(dataset.bit_counts(dimension))
-    users = dataset.users_index(dimension)
-
     total_weight = sum(weights[i] for i in universe_ids)
     if total_weight == 0:
         return []
+
+    # prefix[r]: the APIs of the first r ranks.  A name nobody uses
+    # (an ``importance`` entry outside the space) adds no bit.
+    prefix = [0]
+    covered = 0
+    for api in order:
+        try:
+            covered |= 1 << space.id_of(dimension, api)
+        except KeyError:
+            pass
+        prefix.append(covered)
+    ranked = _by_support_rank(dataset.masks(dimension), universe_ids,
+                              prefix)
 
     tracker = (None if repository is None
                else dataset.condensed_graph(
                    dimension, ignore_empty,
                    assume_trivial=True).tracker())
 
-    supported_weight = 0.0
-
-    def note_satisfied(package: str) -> float:
+    def note_satisfied(pkg_id: int) -> float:
         if tracker is None:
-            return dataset.weight_of(package)
-        return sum(dataset.weight_of(p)
-                   for p in tracker.mark_satisfied(package))
+            return weights[pkg_id]
+        newly = tracker.mark_satisfied(pkg_id)
+        return sum(weights[i] for i in newly) if newly else 0.0
 
-    for i in universe_ids:
-        if requirement_count[i] == 0:
-            supported_weight += note_satisfied(packages[i])
+    supported_weight = 0.0
+    for pkg_id in ranked[0]:
+        supported_weight += note_satisfied(pkg_id)
     curve: List[CurvePoint] = []
     for rank, api in enumerate(order, start=1):
-        try:
-            api_id = space.id_of(dimension, api)
-        except KeyError:
-            api_id = None         # universe-extended API nobody uses
-        if api_id is not None:
-            for pkg_id in users[api_id]:
-                requirement_count[pkg_id] -= 1
-                if requirement_count[pkg_id] == 0:
-                    supported_weight += note_satisfied(
-                        packages[pkg_id])
+        for pkg_id in ranked[rank]:
+            supported_weight += note_satisfied(pkg_id)
         curve.append(CurvePoint(
             rank, api, supported_weight / total_weight))
     return curve
+
+
+def _by_support_rank(masks: Sequence[int], universe_ids: Sequence[int],
+                     prefix: Sequence[int]) -> List[List[int]]:
+    """Bucket ``universe_ids`` by support rank, package order inside
+    each bucket.
+
+    A package's rank is the smallest ``r`` with ``prefix[r]``
+    covering its mask, found by bisection once per distinct mask.
+    Bucket ``r`` lists exactly the packages whose last missing API
+    arrived at rank ``r`` (rank 0: nothing missing), in the order a
+    per-(API, user) decrement loop reached zero on them — its users
+    lists run in package order — so the tracker sees the same calls
+    in the same order and the summed floats are bit-identical.  A
+    package the full prefix never covers is in no bucket.
+    """
+    last = len(prefix) - 1
+    full = prefix[last]
+    rank_of: Dict[int, int] = {}
+    buckets: List[List[int]] = [[] for _ in prefix]
+    for pkg_id in universe_ids:
+        mask = masks[pkg_id]
+        rank = rank_of.get(mask)
+        if rank is None:
+            if mask & full != mask:
+                rank = -1
+            else:
+                low, high = 0, last
+                while low < high:
+                    middle = (low + high) // 2
+                    if mask & prefix[middle] == mask:
+                        high = middle
+                    else:
+                        low = middle + 1
+                rank = low
+            rank_of[mask] = rank
+        if rank >= 0:
+            buckets[rank].append(pkg_id)
+    return buckets
 
 
 def stages(curve: Sequence[CurvePoint],

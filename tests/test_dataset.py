@@ -223,12 +223,25 @@ class TestDataset:
         first["injected"] = 1.0
         assert "injected" not in dataset.importance_table("syscall")
 
-    def test_empty_names(self):
-        footprints, popcon, _ = _corpus()
-        dataset = Dataset(footprints, popcon)
-        assert dataset.empty_names("syscall") == {"doc-pack"}
-        assert dataset.empty_names("ioctl") == \
-            {"daemon", "tool", "doc-pack"}
+    def test_empty_masks_are_assumed(self):
+        footprints, popcon, repository = _corpus()
+        dataset = Dataset(footprints, popcon, repository)
+
+        def empty(dimension):
+            return [dataset.packages[i] for i, mask in
+                    enumerate(dataset.masks(dimension)) if not mask]
+
+        assert empty("syscall") == ["doc-pack"]
+        assert empty("ioctl") == ["daemon", "tool", "doc-pack"]
+        # editor -> tool: tool's ioctl mask is empty, so it is assumed
+        # supported and does not gate editor; without the assumption
+        # tool is outside the universe and poisons editor.
+        editor = dataset.package_index["editor"]
+        assumed = dataset.condensed_graph("ioctl").tracker()
+        assert assumed.mark_satisfied(editor) == [editor]
+        strict = dataset.condensed_graph(
+            "ioctl", assume_trivial=False).tracker()
+        assert strict.mark_satisfied(editor) == []
 
     def test_rebound_shares_popcon_independent_caches(self):
         footprints, popcon, repository = _corpus()
@@ -286,41 +299,81 @@ class TestDataset:
         assert adapted.popcon is popcon
 
 
+def _graph_over(footprints, repository, universe, assumed):
+    """A graph over ``footprints``' package order, built from names."""
+    packages = list(footprints)
+    return packages, CondensedDependencyGraph(
+        packages, [packages.index(name) for name in universe],
+        repository, [packages.index(name) for name in assumed])
+
+
 class TestCondensedGraph:
     def test_tracker_matches_reference(self):
         footprints, _, repository = _corpus()
         universe = [pkg for pkg, fp in footprints.items()
                     if fp.syscalls]
-        graph = CondensedDependencyGraph(universe, repository,
-                                         frozenset(["doc-pack"]))
+        packages, graph = _graph_over(footprints, repository, universe,
+                                      ["doc-pack"])
         legacy = reference._SupportTracker(universe, repository,
                                            frozenset(["doc-pack"]))
         tracker = graph.tracker()
         for package in universe:
-            assert tracker.mark_satisfied(package) == \
+            assert [packages[i] for i in tracker.mark_satisfied(
+                packages.index(package))] == \
                 legacy.mark_satisfied(package)
 
     def test_ghost_dependency_poisons_component(self):
         footprints, _, repository = _corpus()
-        graph = CondensedDependencyGraph(
-            list(footprints), repository, frozenset())
+        packages, graph = _graph_over(footprints, repository,
+                                      list(footprints), [])
         tracker = graph.tracker()
         # daemon depends on ghost-dep (outside the repository is fine,
         # APT-style) — but editor/tool form a cycle, each satisfiable.
         newly = []
         for package in footprints:
-            newly.extend(tracker.mark_satisfied(package))
+            newly.extend(packages[i] for i in tracker.mark_satisfied(
+                packages.index(package)))
         assert set(newly) == set(footprints)
 
     def test_trackers_are_independent(self):
         footprints, _, repository = _corpus()
-        graph = CondensedDependencyGraph(
-            list(footprints), repository, frozenset())
+        packages, graph = _graph_over(footprints, repository,
+                                      list(footprints), [])
+        editor = packages.index("editor")
         first = graph.tracker()
-        first.mark_satisfied("editor")
+        first.mark_satisfied(editor)
         second = graph.tracker()
-        assert second.mark_satisfied("editor") == \
-            graph.tracker().mark_satisfied("editor")
+        assert second.mark_satisfied(editor) == \
+            graph.tracker().mark_satisfied(editor)
+
+    def test_built_graph_holds_flat_int_lists(self):
+        # The condensation must not keep per-component containers
+        # alive: every list attribute is a flat list of ints.
+        footprints = {f"p{i}": Footprint.build(syscalls=["read"])
+                      for i in range(6)}
+        repository = Repository([
+            Package("p0", depends=["p1 | p2", "p3"]),
+            Package("p1", depends=["p0 | p4"]),
+            Package("p2", depends=["p1"]),
+            Package("p3", depends=["p4", "p5 | p0"]),
+            Package("p4", depends=["p3"]),
+            Package("p5"),
+        ])
+        _, graph = _graph_over(footprints, repository,
+                               list(footprints), [])
+        assert graph.cyclic_super_of       # the rescue path is built
+        lists = 0
+        for slot in CondensedDependencyGraph.__slots__:
+            value = getattr(graph, slot)
+            if isinstance(value, dict):
+                assert all(type(key) is int and type(item) is int
+                           for key, item in value.items()), slot
+                continue
+            assert isinstance(value, (list, bytearray)), slot
+            if isinstance(value, list):
+                lists += 1
+                assert all(type(item) is int for item in value), slot
+        assert lists >= 12
 
 
 class TestCodec:

@@ -1,15 +1,17 @@
 """Metric tests: the Appendix A formulas on hand-built inputs."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.footprint import Footprint
+from repro.dataset import Dataset
 from repro.metrics import (
     api_importance,
     band_counts,
     close_over_dependencies,
     completeness_curve,
     count_at_least,
+    dep_semantics_ablation,
     dependents_index,
     first_rank_reaching,
     importance_of_packages,
@@ -24,6 +26,7 @@ from repro.metrics import (
     weighted_completeness,
 )
 from repro.packages import Package, PopularityContest, Repository
+from repro.synth import PaperScaleConfig, build_paper_corpus
 
 
 def _fp(*syscalls):
@@ -428,3 +431,192 @@ class TestIncrementalCurveMatchesReference:
     def test_study_sized_ecosystem(self, study):
         self._assert_identical(study.footprints, study.popcon,
                                study.repository)
+
+
+# --- the support-rank curve against a frozen decrement loop ----------------
+
+_CURVE_SYSCALLS = ["read", "write", "open", "close", "mmap", "futex"]
+_CURVE_IOCTLS = ["TCGETS", "FIONREAD"]
+#: Importance entries no package uses, in both dimensions' spellings.
+_UNUSED_APIS = ["kexec_load", "not_a_syscall", "ioctl:NOT_AN_IOCTL"]
+_VIRTUAL = ["mta", "awk"]
+
+
+def _decrement_loop_curve(dataset, dimension, importance, ignore_empty):
+    """The curve as one counter decrement per (API, user) pair, frozen
+    from before the support-rank scan, returned as plain tuples."""
+    space = dataset.space
+    weights = dataset.weights
+    universe_ids = dataset.universe_ids(dimension, ignore_empty)
+    if importance is None:
+        importance = dataset.importance_table(dimension)
+    usage = dataset.usage_table(dimension, ignore_empty=ignore_empty)
+    order = sorted(importance,
+                   key=lambda api: (-importance[api],
+                                    -usage.get(api, 0.0), api))
+    requirement_count = [mask.bit_count()
+                         for mask in dataset.masks(dimension)]
+    users = dataset.users_index(dimension)
+    total_weight = sum(weights[i] for i in universe_ids)
+    if total_weight == 0:
+        return []
+    tracker = (None if dataset.repository is None
+               else dataset.condensed_graph(
+                   dimension, ignore_empty, assume_trivial=True).tracker())
+
+    def note_satisfied(pkg_id):
+        if tracker is None:
+            return weights[pkg_id]
+        return sum(weights[i] for i in tracker.mark_satisfied(pkg_id))
+
+    supported_weight = 0.0
+    for i in universe_ids:
+        if requirement_count[i] == 0:
+            supported_weight += note_satisfied(i)
+    curve = []
+    for rank, api in enumerate(order, start=1):
+        try:
+            api_id = space.id_of(dimension, api)
+        except KeyError:
+            api_id = None
+        if api_id is not None:
+            for pkg_id in users[api_id]:
+                requirement_count[pkg_id] -= 1
+                if requirement_count[pkg_id] == 0:
+                    supported_weight += note_satisfied(pkg_id)
+        curve.append((rank, api, supported_weight / total_weight))
+    return curve
+
+
+@st.composite
+def _curve_inputs(draw):
+    """Small corpora, flat or AND-of-OR, with or without a repository,
+    plus the curve's knobs.  Few APIs and weights in tenths keep
+    popcount and importance ties, and float sums whose last bit
+    depends on the order they add in, frequent."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    names = [f"pkg{i}" for i in range(n)]
+    footprints = {}
+    for name in names:
+        syscalls = draw(st.lists(st.sampled_from(_CURVE_SYSCALLS),
+                                 unique=True, max_size=4))
+        ioctls = draw(st.lists(st.sampled_from(_CURVE_IOCTLS),
+                               unique=True, max_size=1))
+        footprints[name] = Footprint.build(syscalls=syscalls,
+                                           ioctls=ioctls)
+    popcon = PopularityContest(1000, {
+        name: draw(st.sampled_from([0, 100, 200, 300, 700, 1000]))
+        for name in names})
+    andor = draw(st.booleans())
+    pool = names + ["outsider", "ghost"] + (_VIRTUAL if andor else [])
+    packages = []
+    for name in names:
+        depends = []
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            alternatives = draw(st.lists(
+                st.sampled_from(pool), unique=True, min_size=1,
+                max_size=3 if andor else 1))
+            depends.append(" | ".join(alternatives))
+        provides = (draw(st.lists(st.sampled_from(_VIRTUAL), unique=True))
+                    if andor else [])
+        packages.append(Package(name, depends=depends, provides=provides))
+    packages.append(Package("outsider"))
+    repository = (Repository(packages) if draw(st.booleans())
+                  else None)
+    dimension = draw(st.sampled_from(["syscall", "all"]))
+    importance = None
+    if draw(st.booleans()):
+        used = (_CURVE_SYSCALLS if dimension == "syscall" else
+                _CURVE_SYSCALLS + [f"ioctl:{name}"
+                                   for name in _CURVE_IOCTLS])
+        importance = draw(st.dictionaries(
+            st.sampled_from(used + _UNUSED_APIS),
+            st.sampled_from([0.0, 0.5, 1.0]), max_size=10))
+    return (footprints, popcon, repository, dimension, importance,
+            draw(st.booleans()))
+
+
+class TestSupportRankCurve:
+    @settings(max_examples=300, deadline=None)
+    @given(_curve_inputs())
+    def test_equals_decrement_loop_bit_for_bit(self, inputs):
+        (footprints, popcon, repository, dimension, importance,
+         ignore_empty) = inputs
+        dataset = Dataset(footprints, popcon, repository)
+        expected = _decrement_loop_curve(dataset, dimension, importance,
+                                         ignore_empty)
+        actual = [(point.n_apis, point.api, point.completeness)
+                  for point in completeness_curve(
+                      dataset, dimension=dimension,
+                      importance=importance, ignore_empty=ignore_empty)]
+        assert actual == expected
+
+
+# --- dep_semantics ablation: one curve on a flat corpus -------------------
+
+def _two_curve_ablation(dataset, dimension="syscall"):
+    """The ablation report as two full curves, frozen from before the
+    flat-corpus shortcut."""
+    repository = dataset.repository
+    and_only = dataset.rebound(dataset.popcon,
+                               repository.and_only_view())
+    full_curve = completeness_curve(dataset, dimension=dimension)
+    and_only_curve = completeness_curve(and_only, dimension=dimension)
+    gaps = [full.completeness - degraded.completeness
+            for full, degraded in zip(full_curve, and_only_curve)]
+    max_abs_gap = 0.0
+    max_gap = 0.0
+    max_gap_rank = 0
+    for point, gap in zip(full_curve, gaps):
+        if abs(gap) > max_abs_gap:
+            max_abs_gap = abs(gap)
+            max_gap = gap
+            max_gap_rank = point.n_apis
+    n_points = len(gaps)
+    mean_abs_gap = (sum(abs(gap) for gap in gaps) / n_points
+                    if n_points else 0.0)
+
+    def _curve_summary(curve):
+        if not curve:
+            return {"final_completeness": 0.0, "mean_completeness": 0.0}
+        return {
+            "final_completeness": curve[-1].completeness,
+            "mean_completeness": (sum(p.completeness for p in curve)
+                                  / len(curve)),
+        }
+
+    return {
+        "dimension": dimension,
+        "n_apis": n_points,
+        "n_packages": len(dataset.packages),
+        "n_virtual_packages": len(repository.virtual_names()),
+        "n_provider_edges": repository.n_provider_edges(),
+        "n_alternative_groups": repository.n_alternative_groups(),
+        "full": _curve_summary(full_curve),
+        "and_only": _curve_summary(and_only_curve),
+        "final_gap": gaps[-1] if gaps else 0.0,
+        "max_gap": max_gap,
+        "max_abs_gap": max_abs_gap,
+        "max_gap_rank": max_gap_rank,
+        "mean_abs_gap": mean_abs_gap,
+        "n_ranks_diverging": sum(1 for gap in gaps if gap != 0.0),
+    }
+
+
+class TestAblationMatchesTwoCurves:
+    @pytest.mark.parametrize("dependency_semantics", [False, True])
+    @pytest.mark.parametrize("dimension", ["syscall", "all"])
+    def test_report_equals_two_curve_path(self, dependency_semantics,
+                                          dimension):
+        corpus = build_paper_corpus(PaperScaleConfig.tiny(
+            seed=9, dependency_semantics=dependency_semantics))
+        flat = (corpus.repository.n_alternative_groups() == 0
+                and corpus.repository.n_provider_edges() == 0)
+        assert flat is not dependency_semantics
+        expected = _two_curve_ablation(corpus.dataset, dimension)
+        report = dep_semantics_ablation(corpus.dataset,
+                                        dimension=dimension)
+        assert report == expected
+        if flat:
+            assert report["n_ranks_diverging"] == 0
+            assert report["max_abs_gap"] == 0.0
